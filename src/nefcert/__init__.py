@@ -53,6 +53,7 @@ from .positivity import (
     admissible_pairs,
     ample_interval,
     c0_lower,
+    canonical_eps,
     certify_generic,
     certify_interval,
     drop_value,

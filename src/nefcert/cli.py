@@ -50,6 +50,14 @@ def _int(text: str, flag: str) -> int:
         _fail(f"{flag}: expected an integer, got {text!r}")
 
 
+def _read_text(path: str, flag: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        _fail(f"{flag}: {err}")
+
+
 def _weights(n: str, m: str, k: str):
     try:
         return make_weights(_int(n, "--n"), _int(m, "--m"), _int(k, "--k"))
@@ -111,8 +119,7 @@ def _read_input_class(ambient, in_path, use_dk, c_text, flag_ctx):
             _fail(f"{flag_ctx}: --dk needs --c")
         return dk_class(ambient, _rat(c_text, "--c"))
     if in_path is not None:
-        with open(in_path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_text(in_path, "--in")
     else:
         text = sys.stdin.read()
     try:
@@ -157,7 +164,7 @@ def class_logcanonical(n, alpha_text, as_json) -> None:
 
 @class_group.command("push")
 @_with_weights
-@click.option("--in", "in_path", type=click.Path(exists=True), default=None)
+@click.option("--in", "in_path", type=click.Path(), default=None)
 @click.option("--dk", "use_dk", is_flag=True,
               help="use the dk ray on the unweighted source as input")
 @click.option("--c", "c_text", default=None)
@@ -176,7 +183,7 @@ def class_push(n, m, k, in_path, use_dk, c_text, as_json) -> None:
 
 @class_group.command("pull-reduction")
 @_with_weights
-@click.option("--in", "in_path", type=click.Path(exists=True), default=None)
+@click.option("--in", "in_path", type=click.Path(), default=None)
 @click.option("--dk", "use_dk", is_flag=True)
 @click.option("--c", "c_text", default=None)
 @click.option("--json", "as_json", is_flag=True)
@@ -195,7 +202,7 @@ def class_pull_reduction(n, m, k, in_path, use_dk, c_text, as_json) -> None:
 
 @class_group.command("pull-replacement")
 @_with_weights
-@click.option("--in", "in_path", type=click.Path(exists=True), default=None)
+@click.option("--in", "in_path", type=click.Path(), default=None)
 @click.option("--dk", "use_dk", is_flag=True)
 @click.option("--c", "c_text", default=None)
 @click.option("--json", "as_json", is_flag=True)
@@ -213,14 +220,11 @@ def class_pull_replacement(n, m, k, in_path, use_dk, c_text, as_json) -> None:
 # --- family subcommands ----------------------------------------------------------
 
 def _load_family(path: str) -> fam.FamilyModel:
+    text = _read_text(path, "PATH")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            family = fam.family_from_json(handle.read())
-    except OSError as err:
-        _fail(str(err))
+        return fam.family_from_json(text)
     except NefcertError as err:
         _fail(f"{path}: {err}")
-    return family
 
 
 def _require_valid(family: fam.FamilyModel, path: str) -> None:
@@ -237,7 +241,7 @@ def family_group() -> None:
 
 
 @family_group.command("validate")
-@click.argument("path", type=click.Path(exists=True))
+@click.argument("path", type=click.Path())
 def family_validate(path) -> None:
     """Report invariant violations; silent exit 0 when none."""
     family = _load_family(path)
@@ -246,8 +250,8 @@ def family_validate(path) -> None:
 
 
 @family_group.command("eval")
-@click.argument("path", type=click.Path(exists=True))
-@click.option("--class-file", "class_path", type=click.Path(exists=True), default=None)
+@click.argument("path", type=click.Path())
+@click.option("--class-file", "class_path", type=click.Path(), default=None)
 @click.option("--dk", "use_dk", is_flag=True)
 @click.option("--c", "c_text", default=None)
 def family_eval(path, class_path, use_dk, c_text) -> None:
@@ -261,8 +265,7 @@ def family_eval(path, class_path, use_dk, c_text) -> None:
                 _fail("eval: --dk needs --c")
             cls = dk_class(weights, _rat(c_text, "--c"))
         elif class_path is not None:
-            with open(class_path, "r", encoding="utf-8") as handle:
-                cls = class_from_record(handle.read(), weights)
+            cls = class_from_record(_read_text(class_path, "--class-file"), weights)
         else:
             _fail("eval: need --dk --c or --class-file")
         value = fam.evaluate_class(cls, family)
@@ -272,7 +275,7 @@ def family_eval(path, class_path, use_dk, c_text) -> None:
 
 
 @family_group.command("numbers")
-@click.argument("path", type=click.Path(exists=True))
+@click.argument("path", type=click.Path())
 def family_numbers(path) -> None:
     """Intersection numbers of the family with the basis classes."""
     family = _load_family(path)
@@ -290,7 +293,7 @@ def family_numbers(path) -> None:
 
 
 @family_group.command("fvalues")
-@click.argument("path", type=click.Path(exists=True))
+@click.argument("path", type=click.Path())
 def family_fvalues(path) -> None:
     """Per-level potentials: i, F_delta, F_sigma, F_tau, F_sigma_tau."""
     family = _load_family(path)
@@ -302,7 +305,7 @@ def family_fvalues(path) -> None:
 
 
 @family_group.command("gseries")
-@click.argument("path", type=click.Path(exists=True))
+@click.argument("path", type=click.Path())
 @click.option("--a", "a_text", required=True)
 @click.option("--b", "b_text", required=True)
 def family_gseries(path, a_text, b_text) -> None:
@@ -386,12 +389,16 @@ def certify(ctx, n, m, k, c_text, eps_entries, generic_only, as_json) -> None:
             key = (int(i_text), int(j_text))
         except ValueError:
             _fail(f'--eps: expected "i,j=p/q", got {entry!r}')
+        if key in eps:
+            _fail(f"--eps: ({head}) given twice")
         eps[key] = _rat(tail, "--eps")
     try:
+        eps = pos.canonical_eps(weights, eps)
+    except NefcertError as err:
+        _fail(f"--eps: {err}")
+    try:
         if generic_only:
-            cert = pos.certify_generic(weights.n, weights.m, weights.k, c,
-                                       eps={pos.BoundaryKey(*key): value
-                                            for key, value in eps.items()})
+            cert = pos.certify_generic(weights.n, weights.m, weights.k, c, eps=eps)
         elif eps:
             cert = pos.perturbed_certify(weights.n, weights.m, weights.k, c, eps)
         else:

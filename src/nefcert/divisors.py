@@ -44,12 +44,28 @@ class WeightVector:
         if self.k < 1 or self.n < 0 or self.m < 0:
             raise InvalidWeights(
                 f"need n >= 0, m >= 0, k >= 1, got (n={self.n}, m={self.m}, k={self.k})")
-        if self.m + Fraction(self.n, self.k) <= 2:
+        if not nonempty_moduli(self.n, self.m, self.k):
             raise InvalidWeights(
                 f"empty moduli problem: m + n/k = {self.m + Fraction(self.n, self.k)} is not > 2")
 
     def label(self) -> str:
         return f"{self.n},{self.m},{self.k}"
+
+
+def nonempty_moduli(n: int, m: int, k: int) -> bool:
+    """m + n/k > 2, multiplied through by k."""
+    return n + m * k > 2 * k
+
+
+def heavy_counts(n: int, m: int, k: int, i: int) -> range:
+    """The j for which i light and j heavy sections split (n, m, k) into two
+    sides of weight > 1; i must lie in 0..n.
+
+    Multiplied through by k, i/k + j > 1 and (n-i)/k + (m-j) > 1 read
+    i + j*k > k and (n-i) + (m-j)*k > k, that is j > (k-i)/k and
+    m - j > (k-n+i)/k: an integer interval of j.
+    """
+    return range(max(0, (k - i) // k + 1), min(m, m - 1 - (k - n + i) // k) + 1)
 
 
 def make_weights(n: int, m: int, k: int) -> WeightVector:
@@ -72,11 +88,8 @@ class BoundaryKey:
 
     def is_admissible(self, ambient: WeightVector) -> bool:
         """Both sides of the node must carry total weight > 1."""
-        if not (0 <= self.i <= ambient.n and 0 <= self.j <= ambient.m):
-            return False
-        near = Fraction(self.i, ambient.k) + self.j
-        far = Fraction(ambient.n - self.i, ambient.k) + (ambient.m - self.j)
-        return near > 1 and far > 1
+        return (0 <= self.i <= ambient.n
+                and self.j in heavy_counts(ambient.n, ambient.m, ambient.k, self.i))
 
     def label(self) -> str:
         return f"{self.i},{self.j}"

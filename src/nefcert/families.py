@@ -144,6 +144,14 @@ def validate_family(family: FamilyModel) -> list[str]:
                     violations.append(f"{path}.sigma: indices outside 1..{w.n}")
                 if step.tau and not set(step.tau) <= set(range(1, w.m + 1)):
                     violations.append(f"{path}.tau: indices outside 1..{w.m}")
+                if step.r1 != len(step.sigma):
+                    violations.append(
+                        f"{path}.r1: stored count {step.r1} differs from "
+                        f"len(sigma) = {len(step.sigma)}")
+                if step.r2 != len(step.tau):
+                    violations.append(
+                        f"{path}.r2: stored count {step.r2} differs from "
+                        f"len(tau) = {len(step.tau)}")
         elif step.is_concrete:
             violations.append(f"{path}: abstract family carries section sets")
 

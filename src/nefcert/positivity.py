@@ -19,11 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Mapping
 
-from .divisors import BoundaryKey, WeightVector, dk_class, make_weights
+from .divisors import (
+    BoundaryKey,
+    WeightVector,
+    canonical_boundary_key,
+    dk_class,
+    heavy_counts,
+    make_weights,
+)
 from .errors import (
     COutOfInterval,
+    InvalidBoundaryKey,
     InvalidCoefficients,
     InvalidWeights,
     NefcertError,
@@ -109,14 +118,43 @@ class Certificate:
 def admissible_pairs(n: int, m: int, k: int) -> list[tuple[int, int]]:
     """All step counts with both sides of the node above weight 1, sorted."""
     make_weights(n, m, k)
-    pairs = []
-    for r1 in range(n + 1):
-        for r2 in range(m + 1):
-            near = Fraction(r1, k) + r2
-            far = Fraction(n - r1, k) + (m - r2)
-            if near > 1 and far > 1:
-                pairs.append((r1, r2))
-    return pairs
+    return [(r1, r2) for r1 in range(n + 1) for r2 in heavy_counts(n, m, k, r1)]
+
+
+def _scaled_drop_rows(n: int, m: int, coeffs: CoefficientVector,
+                      eps: Mapping[BoundaryKey, Fraction] | None):
+    """The drop plus its eps shift, times a common denominator, as integer rows.
+
+    The drop at counts (r1, r2) is
+        -a_delta + a_sigma*r1(n-r1)/(n-1) + a_tau*r2(m-r2)/(m-1)
+        + a_sigma_tau*(r1(m-r2) + r2(n-r1))/(nm),
+    where terms whose potentials vanish by convention (n <= 1, m <= 1,
+    nm = 0) contribute nothing; eps shifts it by eps[(i, j)] at the counts
+    whose canonical key min((r1, r2), (n-r1, m-r2)) is (i, j). Returns
+    (scale, t, rows) with rows[r1] = (p, q, shift) such that scale times the
+    shifted drop is p + r2*(q - t*r2) + shift[r2], all integers.
+    """
+    eps = eps or {}
+    pairs = ((coeffs.a_sigma, n - 1) if n >= 2 else (0, 1),
+             (coeffs.a_tau, m - 1) if m >= 2 else (0, 1),
+             (coeffs.a_sigma_tau, n * m) if n and m else (0, 1),
+             (coeffs.a_delta, 1))
+    scale = lcm(*(value.denominator * divisor for value, divisor in pairs),
+                *(value.denominator for value in eps.values()))
+    s, t, x, z = (value.numerator * (scale // (value.denominator * divisor))
+                  for value, divisor in pairs)
+    shift_rows: dict[int, list[int]] = {}
+    for key, value in eps.items():
+        i, j = key.i, key.j
+        if 0 <= i <= n and 0 <= j <= m and (i, j) <= (n - i, m - j):
+            scaled = value.numerator * (scale // value.denominator)
+            for r1, r2 in ((i, j), (n - i, m - j)):
+                shift_rows.setdefault(r1, [0] * (m + 1))[r2] = scaled
+    zeros = [0] * (m + 1)
+    rows = [(s * r1 * (n - r1) + x * r1 * m - z, t * m + x * (n - 2 * r1),
+             shift_rows.get(r1, zeros))
+            for r1 in range(n + 1)]
+    return scale, t, rows
 
 
 def drop_value(n: int, m: int, k: int, coeffs: CoefficientVector,
@@ -128,48 +166,32 @@ def drop_value(n: int, m: int, k: int, coeffs: CoefficientVector,
     """
     if not (0 <= r1 <= n and 0 <= r2 <= m):
         raise ValueError(f"counts ({r1},{r2}) outside the grid 0..{n} x 0..{m}")
-    value = -coeffs.a_delta
-    if n >= 2:
-        value += coeffs.a_sigma * Fraction(r1 * (n - r1), n - 1)
-    if m >= 2:
-        value += coeffs.a_tau * Fraction(r2 * (m - r2), m - 1)
-    if n >= 1 and m >= 1:
-        value += coeffs.a_sigma_tau * Fraction(r1 * (m - r2) + r2 * (n - r1), n * m)
-    return value
+    scale, t, rows = _scaled_drop_rows(n, m, coeffs, None)
+    p, q, _ = rows[r1]
+    return Fraction(p + r2 * (q - t * r2), scale)
 
 
-def _eps_for(eps: Mapping[BoundaryKey, Fraction] | None,
-             n: int, m: int, r1: int, r2: int) -> Fraction:
-    if not eps:
-        return Fraction(0)
-    i, j = min((r1, r2), (n - r1, m - r2))
-    return eps.get(BoundaryKey(i, j), Fraction(0))
+def min_drop(n: int, m: int, k: int, coeffs: CoefficientVector,
+             eps: Mapping[BoundaryKey, Fraction] | None = None) -> DropEvaluation | None:
+    """Exhaustive minimum of the drop, shifted by eps, over admissible counts.
 
-
-def _drop_table(n: int, m: int, k: int, coeffs: CoefficientVector,
-                eps: Mapping[BoundaryKey, Fraction] | None) -> list[DropEvaluation]:
-    return [DropEvaluation(r1, r2,
-                           drop_value(n, m, k, coeffs, r1, r2)
-                           + _eps_for(eps, n, m, r1, r2))
-            for r1, r2 in admissible_pairs(n, m, k)]
-
-
-def _minimum(table: Sequence[DropEvaluation]) -> DropEvaluation | None:
-    best = None
-    for entry in table:  # table is grid-sorted; strict < keeps the lex-least argmin
-        if best is None or entry.value < best.value:
-            best = entry
-    return best
-
-
-def min_drop(n: int, m: int, k: int, coeffs: CoefficientVector) -> DropEvaluation | None:
-    """Exhaustive minimum of the drop over admissible counts.
-
-    Ties break to the lexicographically smallest (r1, r2); None when no
-    step is admissible at all (every generically smooth family is then a
-    step-free ruled-surface family).
+    Every admissible cell is scanned in grid order in integer arithmetic
+    over one common denominator, and the strict < keeps the
+    lexicographically smallest (r1, r2) among ties; None when no step is
+    admissible at all (every generically smooth family is then a step-free
+    ruled-surface family).
     """
-    return _minimum(_drop_table(n, m, k, coeffs, None))
+    make_weights(n, m, k)
+    scale, t, rows = _scaled_drop_rows(n, m, coeffs, eps)
+    best = best_r1 = best_r2 = None
+    for r1, (p, q, shift) in enumerate(rows):
+        for r2 in heavy_counts(n, m, k, r1):
+            value = p + r2 * (q - t * r2) + shift[r2]
+            if best is None or value < best:
+                best, best_r1, best_r2 = value, r1, r2
+    if best is None:
+        return None
+    return DropEvaluation(best_r1, best_r2, Fraction(best, scale))
 
 
 def g_series(family: FamilyModel, coeffs: CoefficientVector) -> list[Fraction]:
@@ -313,21 +335,19 @@ def reachable_strata(n: int, m: int, k: int) -> list[tuple[int, int]]:
     frontier = [(n, m)]
     while frontier:
         a, b = frontier.pop()
-        for n1 in range(a + 1):
-            for m1 in range(b + 1):
-                n2, m2 = a - n1, b - m1
-                factors = ((n1, m1 + 1), (n2, m2 + 1))
-                if not all(_valid(f[0], f[1], k) for f in factors):
-                    continue
-                for f in factors:
-                    if f not in seen:
-                        seen.add(f)
-                        frontier.append(f)
+        # both factors are valid exactly when (n1, m1) is an admissible split;
+        # a split and its complement give the same two factors
+        for n1 in range(a // 2 + 1):
+            for m1 in heavy_counts(a, b, k, n1):
+                near = (n1, m1 + 1)
+                if near not in seen:
+                    seen.add(near)
+                    frontier.append(near)
+                far = (a - n1, b - m1 + 1)
+                if far not in seen:
+                    seen.add(far)
+                    frontier.append(far)
     return sorted(seen)
-
-
-def _valid(n: int, m: int, k: int) -> bool:
-    return n >= 0 and m >= 0 and m + Fraction(n, k) > 2
 
 
 def certify_generic(n: int, m: int, k: int, c, *,
@@ -339,7 +359,8 @@ def certify_generic(n: int, m: int, k: int, c, *,
     positive: every family with at least one blow-down then pairs strictly
     positively, while step-free ruled-surface families pair the combination
     to exactly 0. An empty admissible set reports the step-free situation
-    outright. Boundary perturbations shift the drop at matching counts.
+    outright. Boundary perturbations shift the drop at matching counts;
+    their keys are canonicalized on (n, m, k) and must be admissible there.
 
     With m >= 2 the substituted combination equals the ray pairing at every
     c; with m <= 1 it has one parameter fewer and the two agree exactly at
@@ -349,8 +370,9 @@ def certify_generic(n: int, m: int, k: int, c, *,
     c = exact(c)
     a, b = ab_substitution(n, m, k, c)
     coeffs = CoefficientVector.from_ab(n, m, a, b)
-    table = _drop_table(n, m, k, coeffs, eps)
-    best = _minimum(table)
+    if eps and not isinstance(eps, _GridLabels):
+        eps = canonical_eps(weights, eps)
+    best = min_drop(n, m, k, coeffs, eps)
     trace = (TraceEntry(weights, c, a, b, best),)
     if best is None:
         return Certificate(
@@ -387,19 +409,55 @@ def perturbed_certify(n: int, m: int, k: int, c,
     """Rerun the certification with each drop at counts (r1, r2) shifted by
     eps[(r1, r2) canonical in its grid].
 
+    A key labels the boundary cells of every grid the certification visits
+    (stratum grids, lower weight levels, regrouped k = 1 grids): in each grid
+    it shifts the counts whose canonical key it is. Boundary divisors of
+    (n, m, k) itself are spelled either way after canonical_eps; a key that
+    lies outside every grid reachable from (n, m) raises InvalidBoundaryKey.
     With eps identically zero this is certify_interval; the maximal uniform
     shift with a guaranteed strictly_positive verdict is that certificate's
     margin.
     """
+    labels = _GridLabels()
+    for key, value in dict(eps or {}).items():
+        i, j = _key_pair(key)
+        # every grid visited from (n, m) has at most n + m sections
+        if not (0 <= i and 0 <= j and i + j <= n + m):
+            raise InvalidBoundaryKey(
+                f"({i},{j}) is a boundary cell of no grid reachable from ({n},{m})")
+        labels[BoundaryKey(i, j)] = exact(value)
+    return _certify(n, m, k, exact(c), labels)
+
+
+def canonical_eps(weights: WeightVector, eps: Mapping) -> dict[BoundaryKey, Fraction]:
+    """eps with every key, a BoundaryKey or an (i, j) pair, routed through
+    canonical_boundary_key on weights.
+
+    A key and its complement name the same boundary divisor, so they may not
+    both be given; an inadmissible key raises InvalidBoundaryKey.
+    """
     cleaned: dict[BoundaryKey, Fraction] = {}
     for key, value in dict(eps or {}).items():
-        if not isinstance(key, BoundaryKey):
-            key = BoundaryKey(*key)
-        cleaned[key] = exact(value)
-    return _certify(n, m, k, exact(c), cleaned)
+        i, j = _key_pair(key)
+        canonical = canonical_boundary_key(weights, i, j)
+        if canonical in cleaned:
+            raise InvalidBoundaryKey(
+                f"({i},{j}) and another key name the same boundary divisor "
+                f"({canonical.label()}) on ({weights.label()})")
+        cleaned[canonical] = exact(value)
+    return cleaned
 
 
 # --- certification engine ------------------------------------------------------
+
+class _GridLabels(dict):
+    """eps as perturbed_certify passes it down: keys are matched against the
+    canonical keys of each grid, never canonicalized on one of them."""
+
+
+def _key_pair(key) -> tuple[int, int]:
+    return (key.i, key.j) if isinstance(key, BoundaryKey) else tuple(key)
+
 
 def _merge_min(*values: Fraction | None) -> Fraction | None:
     present = [v for v in values if v is not None]
@@ -541,7 +599,7 @@ def _certify_k1(weights: WeightVector, c: Fraction,
             c_eff = min(c, Fraction(1))
             a, b = c_eff - Fraction(1, pooled), Fraction(1)
         coeffs = CoefficientVector.from_ab(grid.n, grid.m, a, b)
-        best = _minimum(_drop_table(grid.n, grid.m, 1, coeffs, eps))
+        best = min_drop(grid.n, grid.m, 1, coeffs, eps)
         legs.append(TraceEntry(grid, c, a, b, best))
         if best is not None:
             if best.value < 0:

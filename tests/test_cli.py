@@ -267,3 +267,67 @@ class TestMoreSurfaces:
         assert "# ample_interval\t(3/5, 5/8]" in result.output
         assert "9\t0\t1\t4/7\t4/7\tyes" in result.output
         assert "5\t1\t5\t3/5\t3/5\tno" in result.output
+
+
+def unreadable(tmp_path, kind):
+    """A directory, a missing file or a file that is not UTF-8 text."""
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / kind
+    if kind == "binary":
+        path.write_bytes(b"\xff\xfe\x00psi_sigma")
+    return str(path)
+
+
+UNREADABLE = ["directory", "missing", "binary"]
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    @pytest.mark.parametrize("command", ["push", "pull-reduction", "pull-replacement"])
+    def test_in_exits_one(self, runner, tmp_path, command, kind):
+        result = runner.invoke(main, ["class", command, "--n", "5", "--m", "0",
+                                      "--k", "2", "--in", unreadable(tmp_path, kind)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: --in: ")
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    @pytest.mark.parametrize("args", [["validate"], ["eval", "--dk", "--c", "2/3"],
+                                      ["numbers"], ["fvalues"],
+                                      ["gseries", "--a", "3/4", "--b", "0"]])
+    def test_family_path_exits_one(self, runner, tmp_path, args, kind):
+        result = runner.invoke(main, ["family", args[0], unreadable(tmp_path, kind),
+                                      *args[1:]])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: PATH: ")
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_class_file_exits_one(self, runner, tmp_path, kind):
+        family_path = tmp_path / "stable.json"
+        family_path.write_text(STABLE)
+        result = runner.invoke(main, ["family", "eval", str(family_path),
+                                      "--class-file", unreadable(tmp_path, kind)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: --class-file: ")
+
+
+class TestEpsKeys:
+    BASE = ["certify", "--n", "7", "--m", "0", "--k", "2", "--c", "7/10", "--json"]
+
+    @pytest.mark.parametrize("extra", [[], ["--generic-only"]])
+    def test_complement_spelling_gives_the_same_certificate(self, runner, extra):
+        first = runner.invoke(main, self.BASE + extra + ["--eps", "3,0=-1/5"])
+        second = runner.invoke(main, self.BASE + extra + ["--eps", "4,0=-1/5"])
+        assert (first.exit_code, first.stdout) == (second.exit_code, second.stdout)
+
+    @pytest.mark.parametrize("extra", [[], ["--generic-only"]])
+    @pytest.mark.parametrize("eps", [["2,0=-100"], ["5,0=-100"], ["99,99=-100"],
+                                     ["3,0=-1", "4,0=-1"], ["3,0=-1", "3,0=0"]])
+    def test_bad_keys_exit_one_naming_eps(self, runner, extra, eps):
+        args = self.BASE + extra
+        for entry in eps:
+            args += ["--eps", entry]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: --eps: ")

@@ -57,6 +57,21 @@ class TestValidate:
         fam = nc.FamilyModel.abstract(nc.make_weights(5, 0, 2), [(6, 0)])
         assert any("out of range" in v for v in nc.validate_family(fam))
 
+    def test_stored_counts_must_match_the_sets(self):
+        weights = nc.make_weights(7, 0, 2)
+        step = nc.BlowdownStep(3, 0, frozenset({1, 2}), frozenset())
+        fam = nc.FamilyModel.concrete(weights, (step,), (2,) * 7)
+        assert nc.validate_family(fam) == [
+            "steps[0].r1: stored count 3 differs from len(sigma) = 2"]
+        step = nc.BlowdownStep(1, 1, frozenset({1, 2}), frozenset({1}))
+        fam = nc.FamilyModel.concrete(nc.make_weights(3, 1, 2), (step,), (0,) * 3, (0,))
+        assert [v for v in nc.validate_family(fam) if ".r" in v] == [
+            "steps[0].r1: stored count 1 differs from len(sigma) = 2"]
+        step = nc.BlowdownStep(2, 0, frozenset({1, 2}), frozenset({1}))
+        fam = nc.FamilyModel.concrete(nc.make_weights(3, 1, 2), (step,), (0,) * 3, (0,))
+        assert [v for v in nc.validate_family(fam) if ".r" in v] == [
+            "steps[0].r2: stored count 0 differs from len(tau) = 1"]
+
     def test_good_families(self):
         assert nc.validate_family(diagonal_family()) == []
         assert nc.validate_family(stable_model()) == []

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import nefcert as nc
-from nefcert.errors import COutOfInterval, InvalidWeights, NoCaseApplies
+from nefcert.errors import COutOfInterval, InvalidBoundaryKey, InvalidWeights, NoCaseApplies
 from nefcert.positivity import INCONCLUSIVE, STRICTLY_POSITIVE, ZERO_CHARACTERIZED
 
 
@@ -374,6 +374,41 @@ class TestPerturbed:
         assert sharp.verdict != STRICTLY_POSITIVE
 
 
+class TestEpsKeys:
+    def test_canonical_eps_folds_complements(self):
+        weights = nc.make_weights(7, 0, 2)
+        assert nc.canonical_eps(weights, {(4, 0): F(-1, 5)}) == {nc.BoundaryKey(3, 0): F(-1, 5)}
+        assert nc.canonical_eps(weights, {nc.BoundaryKey(3, 0): 1}) == {nc.BoundaryKey(3, 0): 1}
+
+    def test_canonical_eps_rejects_inadmissible_and_doubled_keys(self):
+        weights = nc.make_weights(7, 0, 2)
+        for bad in ({(2, 0): 1}, {(5, 0): 1}, {(99, 99): 1}, {(3, 0): 1, (4, 0): 1}):
+            with pytest.raises(InvalidBoundaryKey):
+                nc.canonical_eps(weights, bad)
+
+    def test_generic_complement_spelling_gives_the_same_certificate(self):
+        for n, m, k in ((7, 0, 2), (9, 2, 4), (12, 3, 5), (8, 1, 3)):
+            c, _ = nc.c0_lower(n, m, k)
+            base = nc.certify_generic(n, m, k, c)
+            assert base.verdict == STRICTLY_POSITIVE
+            r1, r2 = base.witness.r1, base.witness.r2
+            spellings = [(r1, r2), (n - r1, m - r2)]
+            # cancelling the minimal drop turns the verdict, whichever spelling
+            certs = [nc.certify_generic(n, m, k, c, eps={key: -base.margin})
+                     for key in spellings]
+            assert certs[0] == certs[1]
+            assert certs[0].verdict == ZERO_CHARACTERIZED
+
+    def test_generic_rejects_inadmissible_keys(self):
+        with pytest.raises(InvalidBoundaryKey):
+            nc.certify_generic(7, 0, 2, F(3, 5), eps={(99, 99): F(-1)})
+
+    def test_perturbed_rejects_keys_outside_every_grid(self):
+        for key in ((99, 99), (-1, 0), (0, 8)):
+            with pytest.raises(InvalidBoundaryKey):
+                nc.perturbed_certify(7, 0, 2, F(7, 10), {key: F(-1)})
+
+
 class TestOracles:
     def test_single_step_admissibility_equals_validator(self):
         # abstract single-step families accepted by the validator realize
@@ -555,3 +590,140 @@ class TestCertificateSoundness:
                                  diagonal) == 0
         cert = nc.certify_interval(5, 0, 2, F(2, 3))
         assert cert.zero_strata == (nc.make_weights(5, 0, 2),)
+
+
+# --- oracles for the integer kernels ------------------------------------------
+
+def oracle_drop(n, m, coeffs, r1, r2):
+    """The drop formula term by term in Fraction arithmetic."""
+    value = -F(coeffs.a_delta)
+    if n >= 2:
+        value += coeffs.a_sigma * F(r1 * (n - r1), n - 1)
+    if m >= 2:
+        value += coeffs.a_tau * F(r2 * (m - r2), m - 1)
+    if n >= 1 and m >= 1:
+        value += coeffs.a_sigma_tau * F(r1 * (m - r2) + r2 * (n - r1), n * m)
+    return value
+
+
+def oracle_min(n, m, k, coeffs, eps=None):
+    """Exhaustive (r1, r2, value) table in grid order; the first minimum wins."""
+    best = None
+    for r1 in range(n + 1):
+        for r2 in range(m + 1):
+            if not (F(r1, k) + r2 > 1 and F(n - r1, k) + (m - r2) > 1):
+                continue
+            value = oracle_drop(n, m, coeffs, r1, r2)
+            if eps:
+                key = nc.BoundaryKey(*min((r1, r2), (n - r1, m - r2)))
+                value += eps.get(key, 0)
+            if best is None or value < best[2]:
+                best = (r1, r2, value)
+    return best
+
+
+def oracle_strata(n, m, k):
+    """The strata closure as a Fraction-valued BFS over every split."""
+    def valid(a, b):
+        return a >= 0 and b >= 0 and b + F(a, k) > 2
+
+    seen = {(n, m)}
+    frontier = [(n, m)]
+    while frontier:
+        a, b = frontier.pop()
+        for n1 in range(a + 1):
+            for m1 in range(b + 1):
+                factors = ((n1, m1 + 1), (a - n1, b - m1 + 1))
+                if all(valid(*f) for f in factors):
+                    for f in factors:
+                        if f not in seen:
+                            seen.add(f)
+                            frontier.append(f)
+    return sorted(seen)
+
+
+def valid_grids(kmax, nmax, mmax):
+    for k in range(1, kmax + 1):
+        for n in range(nmax + 1):
+            for m in range(mmax + 1):
+                if m + F(n, k) > 2:
+                    yield n, m, k
+
+
+def as_triple(evaluation):
+    return None if evaluation is None else (evaluation.r1, evaluation.r2, evaluation.value)
+
+
+class TestIntegerKernels:
+    # (a, b) pairs: a_sigma negative, zero and positive; b = 0 is forced at m = 0
+    AB = ((F(-3, 7), F(5, 3)), (F(0), F(1, 2)), (F(2, 3), F(7, 5)), (F(11, 6), F(-1, 4)))
+
+    def test_min_drop_matches_oracle_on_every_small_grid(self):
+        checked = 0
+        for n, m, k in valid_grids(6, 24, 5):
+            # the ray substitution at c = 2/5 has a_sigma < 0 when m >= 2
+            combos = [nc.ab_substitution(n, m, k, c) for c in (F(2, 5), F(7, 10))]
+            combos += [(a, b if m else 0) for a, b in (self.AB[0], self.AB[3])]
+            for a, b in combos:
+                coeffs = nc.CoefficientVector.from_ab(n, m, a, b)
+                assert as_triple(nc.min_drop(n, m, k, coeffs)) == \
+                    oracle_min(n, m, k, coeffs), (n, m, k, a, b)
+                checked += 1
+        assert checked > 3000
+
+    def test_min_drop_matches_oracle_with_random_eps(self):
+        rng = random.Random(20260)
+        grids = list(valid_grids(6, 24, 5))
+        for _ in range(600):
+            n, m, k = rng.choice(grids)
+            a, b = rng.choice(self.AB)
+            coeffs = nc.CoefficientVector.from_ab(n, m, a, b if m else 0)
+            # keys canonical in the grid, their complements (which match
+            # nothing) and keys outside the grid
+            eps = {}
+            for _ in range(rng.randint(1, 6)):
+                i, j = rng.randint(0, n + 2), rng.randint(0, m + 2)
+                eps[nc.BoundaryKey(i, j)] = F(rng.randint(-40, 40), rng.randint(1, 12))
+            assert as_triple(nc.min_drop(n, m, k, coeffs, eps)) == \
+                oracle_min(n, m, k, coeffs, eps), (n, m, k, eps)
+
+    def test_eps_on_the_minimizer_moves_the_minimum(self):
+        coeffs = nc.CoefficientVector.from_ab(7, 0, F(7, 10), 0)
+        base = nc.min_drop(7, 0, 2, coeffs)
+        for key in (nc.BoundaryKey(3, 0), nc.BoundaryKey(1, 1)):
+            shifted = nc.min_drop(7, 0, 2, coeffs, {key: -base.value})
+            expected = 0 if key == nc.BoundaryKey(3, 0) else base.value
+            assert shifted.value == expected
+
+    def test_drop_value_matches_oracle_cell_by_cell(self):
+        rng = random.Random(777)
+        for n, m, k in valid_grids(3, 12, 4):
+            a, b = rng.choice(self.AB)
+            coeffs = nc.CoefficientVector.from_ab(n, m, a, b if m else 0)
+            for r1 in range(n + 1):
+                for r2 in range(m + 1):
+                    assert nc.drop_value(n, m, k, coeffs, r1, r2) == \
+                        oracle_drop(n, m, coeffs, r1, r2)
+
+    def test_reachable_strata_matches_fraction_bfs(self):
+        for n, m, k in valid_grids(5, 14, 14):
+            if n + m <= 14:
+                assert nc.reachable_strata(n, m, k) == oracle_strata(n, m, k), (n, m, k)
+
+    def test_admissibility_rules_match_the_rational_rule(self):
+        for k in range(1, 7):
+            for n in range(0, 13):
+                for m in range(0, 6):
+                    nonempty = m + F(n, k) > 2
+                    try:
+                        weights = nc.make_weights(n, m, k)
+                    except InvalidWeights as err:
+                        assert not nonempty
+                        assert str(err).endswith(f"= {m + F(n, k)} is not > 2")
+                        continue
+                    assert nonempty
+                    for i in range(-1, n + 2):
+                        for j in range(-1, m + 2):
+                            rational = (0 <= i <= n and 0 <= j <= m
+                                        and F(i, k) + j > 1 and F(n - i, k) + (m - j) > 1)
+                            assert nc.BoundaryKey(i, j).is_admissible(weights) == rational

@@ -687,14 +687,6 @@ class TestIntegerKernels:
             assert as_triple(nc.min_drop(n, m, k, coeffs, eps)) == \
                 oracle_min(n, m, k, coeffs, eps), (n, m, k, eps)
 
-    def test_eps_on_the_minimizer_moves_the_minimum(self):
-        coeffs = nc.CoefficientVector.from_ab(7, 0, F(7, 10), 0)
-        base = nc.min_drop(7, 0, 2, coeffs)
-        for key in (nc.BoundaryKey(3, 0), nc.BoundaryKey(1, 1)):
-            shifted = nc.min_drop(7, 0, 2, coeffs, {key: -base.value})
-            expected = 0 if key == nc.BoundaryKey(3, 0) else base.value
-            assert shifted.value == expected
-
     def test_drop_value_matches_oracle_cell_by_cell(self):
         rng = random.Random(777)
         for n, m, k in valid_grids(3, 12, 4):

@@ -27,7 +27,7 @@ from .divisors import (
     log_canonical_class,
     make_weights,
 )
-from .errors import NefcertError
+from .errors import InvalidBoundaryKey, NefcertError
 from .rational import format_rational, parse_rational
 
 
@@ -403,6 +403,8 @@ def certify(ctx, n, m, k, c_text, eps_entries, generic_only, as_json) -> None:
             cert = pos.perturbed_certify(weights.n, weights.m, weights.k, c, eps)
         else:
             cert = pos.certify_interval(weights.n, weights.m, weights.k, c)
+    except InvalidBoundaryKey as err:
+        _fail(f"--eps: {err}")
     except NefcertError as err:
         _fail(str(err))
     _emit_certificate(cert, as_json)

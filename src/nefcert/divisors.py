@@ -24,7 +24,7 @@ from .errors import (
 from .rational import exact, format_rational, parse_rational
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class WeightVector:
     """n sections of weight 1/k plus m sections of weight 1.
 

@@ -254,6 +254,35 @@ def intersection_numbers(family: FamilyModel) -> IntersectionReport:
                               Fraction(family.n_steps), counts)
 
 
+@dataclass(frozen=True)
+class CoefficientVector:
+    """Weights of the four potentials in the combination
+    a_sigma*F_sigma + a_tau*F_tau + a_sigma_tau*F_sigma_tau - a_delta*F_delta."""
+
+    a_sigma: Fraction
+    a_tau: Fraction
+    a_sigma_tau: Fraction
+    a_delta: Fraction
+
+    @classmethod
+    def from_ab(cls, n: int, m: int, a, b) -> "CoefficientVector":
+        """The (a, b) parameterization: a_sigma = a, a_sigma_tau = b,
+        a_tau = (m-b)/m (zero when m <= 1), a_delta = 1."""
+        a = exact(a)
+        b = exact(b)
+        if m == 0 and b != 0:
+            raise InvalidCoefficients("b must be 0 when there are no weight-one sections")
+        a_tau = Fraction(0) if m <= 1 else (m - b) / Fraction(m)
+        return cls(a, a_tau, b, Fraction(1))
+
+    def combine(self, potentials: tuple[Fraction, Fraction, Fraction, Fraction]) -> Fraction:
+        """The combination at potential values (F_delta, F_sigma, F_tau,
+        F_sigma_tau), as f_values returns them."""
+        f_delta, f_sigma, f_tau, f_mixed = potentials
+        return (self.a_sigma * f_sigma + self.a_tau * f_tau
+                + self.a_sigma_tau * f_mixed - self.a_delta * f_delta)
+
+
 def _step_drops(w: WeightVector, step: BlowdownStep) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(delta, sigma, tau, sigma-tau) potential drops of one step.
 
@@ -342,22 +371,16 @@ def evaluate_class(cls: DivisorClass, family: FamilyModel) -> Fraction:
 
 
 def combination_value(family: FamilyModel, a, b) -> Fraction:
-    """a*F_sigma(0) + b*F_sigma_tau(0) + ((m-b)/m)*F_tau(0) - F_delta(0).
+    """The (a, b) combination (CoefficientVector.from_ab) at level 0:
+    a*F_sigma(0) + b*F_sigma_tau(0) + ((m-b)/m)*F_tau(0) - F_delta(0), where
+    the F_tau term is dropped for m <= 1 (F_tau vanishes there).
 
     With m = 0 the b-terms have no meaning and b must be 0. On concrete
     families this equals (a + b/n) psi_sigma.B + (2a/(n-1)) delta_s.B
     + psi_tau.B - delta.B.
     """
-    a = exact(a)
-    b = exact(b)
-    m = family.weights.m
-    if m == 0 and b != 0:
-        raise InvalidCoefficients("b must be 0 when there are no weight-one sections")
-    f_delta, f_sigma, f_tau, f_mixed = f_values(family, 0)
-    value = a * f_sigma + b * f_mixed - f_delta
-    if m >= 1:
-        value += (m - b) * f_tau / m
-    return value
+    coeffs = CoefficientVector.from_ab(family.weights.n, family.weights.m, a, b)
+    return coeffs.combine(f_values(family, 0))
 
 
 def stratified_evaluate(cls: DivisorClass,

@@ -11,14 +11,15 @@ Families with reducible generic fiber reduce to boundary-stratum factors
 (the ray restricts to the class of the same name on each factor), and the
 upper interval endpoint transports one weight level down with vanishing
 exceptional coefficient; interior values are convex combinations of the
-endpoint certificate and a per-stratum base certificate. The recursion is
-grounded at k = 1.
+endpoint certificate and a per-stratum base certificate. The chain of
+weight levels is grounded at k = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Mapping
 
@@ -33,12 +34,11 @@ from .divisors import (
 from .errors import (
     COutOfInterval,
     InvalidBoundaryKey,
-    InvalidCoefficients,
     InvalidWeights,
     NefcertError,
     NoCaseApplies,
 )
-from .families import FamilyModel, f_values
+from .families import CoefficientVector, FamilyModel, f_values
 from .morphisms import pullback_reduction
 from .rational import exact
 
@@ -47,29 +47,7 @@ ZERO_CHARACTERIZED = "nonnegative_zero_characterized"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Weights of the four potentials in the combination
-    a_sigma*F_sigma + a_tau*F_tau + a_sigma_tau*F_sigma_tau - a_delta*F_delta."""
-
-    a_sigma: Fraction
-    a_tau: Fraction
-    a_sigma_tau: Fraction
-    a_delta: Fraction
-
-    @classmethod
-    def from_ab(cls, n: int, m: int, a, b) -> "CoefficientVector":
-        """The (a, b) parameterization: a_sigma = a, a_sigma_tau = b,
-        a_tau = (m-b)/m (zero when m <= 1), a_delta = 1."""
-        a = exact(a)
-        b = exact(b)
-        if m == 0 and b != 0:
-            raise InvalidCoefficients("b must be 0 when there are no weight-one sections")
-        a_tau = Fraction(0) if m <= 1 else (m - b) / Fraction(m)
-        return cls(a, a_tau, b, Fraction(1))
-
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DropEvaluation:
     """One step count with its exact drop value."""
 
@@ -78,7 +56,7 @@ class DropEvaluation:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     """Record of one drop-table minimization (grid space, combination, minimum)."""
 
@@ -200,12 +178,8 @@ def g_series(family: FamilyModel, coeffs: CoefficientVector) -> list[Fraction]:
     The last entry is always 0 and consecutive differences are the per-step
     drop values.
     """
-    values = []
-    for level in range(family.n_steps + 1):
-        f_delta, f_sigma, f_tau, f_mixed = f_values(family, level)
-        values.append(coeffs.a_sigma * f_sigma + coeffs.a_tau * f_tau
-                      + coeffs.a_sigma_tau * f_mixed - coeffs.a_delta * f_delta)
-    return values
+    return [coeffs.combine(f_values(family, level))
+            for level in range(family.n_steps + 1)]
 
 
 def positivity_case(n: int, m: int, k: int, a, b) -> tuple[int, bool]:
@@ -369,15 +343,14 @@ def certify_generic(n: int, m: int, k: int, c, *,
     weights = make_weights(n, m, k)
     c = exact(c)
     a, b = ab_substitution(n, m, k, c)
-    coeffs = CoefficientVector.from_ab(n, m, a, b)
-    if eps and not isinstance(eps, _GridLabels):
+    if eps:
         eps = canonical_eps(weights, eps)
-    best = min_drop(n, m, k, coeffs, eps)
-    trace = (TraceEntry(weights, c, a, b, best),)
+    leg = _leg(weights, c, a, b, eps)
+    best = leg.minimum
     if best is None:
         return Certificate(
             ZERO_CHARACTERIZED, weights, c, a, b, None, None, (weights,),
-            zero_strata=(weights,), trace=trace,
+            zero_strata=(weights,), trace=(leg,),
             notes=("no admissible blow-down counts: every generically smooth "
                    "family is step-free and pairs to exactly 0",))
     if best.value > 0:
@@ -389,7 +362,7 @@ def certify_generic(n: int, m: int, k: int, c, *,
     return Certificate(
         verdict, weights, c, a, b, best, best.value, (weights,),
         zero_strata=(weights,) if verdict == ZERO_CHARACTERIZED else (),
-        trace=trace,
+        trace=(leg,),
         notes=("step-free families pair the combination to exactly 0; "
                "strictness refers to families with at least one blow-down",))
 
@@ -411,21 +384,15 @@ def perturbed_certify(n: int, m: int, k: int, c,
 
     A key labels the boundary cells of every grid the certification visits
     (stratum grids, lower weight levels, regrouped k = 1 grids): in each grid
-    it shifts the counts whose canonical key it is. Boundary divisors of
-    (n, m, k) itself are spelled either way after canonical_eps; a key that
-    lies outside every grid reachable from (n, m) raises InvalidBoundaryKey.
-    With eps identically zero this is certify_interval; the maximal uniform
-    shift with a guaranteed strictly_positive verdict is that certificate's
-    margin.
+    it shifts the admissible counts whose canonical key it is. Boundary
+    divisors of (n, m, k) itself are spelled either way after canonical_eps;
+    a key that is the canonical key of no admissible cell in any visited
+    grid raises InvalidBoundaryKey. With eps identically zero this is
+    certify_interval; the maximal uniform shift with a guaranteed
+    strictly_positive verdict is that certificate's margin.
     """
-    labels = _GridLabels()
-    for key, value in dict(eps or {}).items():
-        i, j = _key_pair(key)
-        # every grid visited from (n, m) has at most n + m sections
-        if not (0 <= i and 0 <= j and i + j <= n + m):
-            raise InvalidBoundaryKey(
-                f"({i},{j}) is a boundary cell of no grid reachable from ({n},{m})")
-        labels[BoundaryKey(i, j)] = exact(value)
+    labels = {BoundaryKey(*_key_pair(key)): exact(value)
+              for key, value in dict(eps or {}).items()}
     return _certify(n, m, k, exact(c), labels)
 
 
@@ -450,174 +417,193 @@ def canonical_eps(weights: WeightVector, eps: Mapping) -> dict[BoundaryKey, Frac
 
 # --- certification engine ------------------------------------------------------
 
-class _GridLabels(dict):
-    """eps as perturbed_certify passes it down: keys are matched against the
-    canonical keys of each grid, never canonicalized on one of them."""
-
-
 def _key_pair(key) -> tuple[int, int]:
     return (key.i, key.j) if isinstance(key, BoundaryKey) else tuple(key)
 
 
-def _merge_min(*values: Fraction | None) -> Fraction | None:
-    present = [v for v in values if v is not None]
-    return min(present) if present else None
+def _leg(grid: WeightVector, c: Fraction, a: Fraction, b: Fraction,
+         eps: Mapping[BoundaryKey, Fraction] | None) -> TraceEntry:
+    """One leg: the exhaustive minimum drop of the (a, b) combination on grid."""
+    coeffs = CoefficientVector.from_ab(grid.n, grid.m, a, b)
+    return TraceEntry(grid, c, a, b, min_drop(grid.n, grid.m, grid.k, coeffs, eps))
 
 
-def _merge_witness(*evaluations: DropEvaluation | None) -> DropEvaluation | None:
-    present = [e for e in evaluations if e is not None]
-    if not present:
-        return None
-    best = present[0]
-    for entry in present[1:]:
-        if entry.value < best.value:
-            best = entry
-    return best
+def _stratum_leg(n: int, m: int, k: int, c: Fraction | None,
+                 eps: Mapping[BoundaryKey, Fraction] | None = None) -> tuple[TraceEntry, bool]:
+    """The leg of stratum (n, m) at level k, with its strict flag.
+
+    For k >= 2 it is the base leg at c0 with c0_lower's strict flag; it does
+    not depend on the level's c, which callers leave None. At k = 1 it is
+    taken at c on the stratum's own grid when m = 0 and otherwise on the
+    regrouped grid (n + m - 1, 1) at c capped at 1 (see _certify); its flag
+    is unused there.
+    """
+    if k == 1:
+        if m == 0:
+            return _leg(make_weights(n, 0, 1), c, c, Fraction(0), eps), True
+        pooled = n + m - 1
+        return _leg(make_weights(pooled, 1, 1), c,
+                    min(c, Fraction(1)) - Fraction(1, pooled), Fraction(1), eps), True
+    c0, strict = c0_lower(n, m, k)
+    a, b = ab_substitution(n, m, k, c0)
+    return _leg(make_weights(n, m, k), c0, a, b, eps), strict
 
 
-def _sorted_spaces(spaces) -> tuple[WeightVector, ...]:
-    return tuple(sorted(set(spaces), key=lambda w: (-w.k, w.n, w.m)))
+# Eps-free legs are shared by every level, c and weight vector that reaches
+# their stratum: at k >= 2 they depend on (n, m, k) alone, and every chain
+# from k >= 2 reaches k = 1 at c = 3/4. A few hundred certifications meet
+# about 1e3 (k <= 5) to 4e3 (k up to 200) distinct legs. An entry, cache
+# bookkeeping included, holds about 620 bytes, so the bound keeps the memo
+# near 1.3 MB; results are immutable, so sharing them is safe.
+_LEG_CACHE_SIZE = 2048
+_cached_stratum_leg = lru_cache(maxsize=_LEG_CACHE_SIZE)(_stratum_leg)
+
+
+def _check_transport(n: int, m: int, k: int) -> None:
+    """At c = (k+1)/(2k) the pulled-back ray from level k has exceptional
+    coefficient exactly 0, so it equals the same ray one level down."""
+    c = Fraction(k + 1, 2 * k)
+    if (pullback_reduction(dk_class(make_weights(n, m, k), c))
+            != dk_class(make_weights(n, m, k - 1), c)):
+        raise NefcertError("internal: endpoint transport identity failed")
+
+
+def _transports(verdict: str, zero_strata, margin: Fraction | None, k: int) -> bool:
+    """Whether the level k - 1 certificate makes the upper endpoint of level
+    k strictly positive. Strict transforms of curves are never collapsed, so
+    zeros one level down of the collapsed shape (k, 1) do not obstruct."""
+    return verdict == STRICTLY_POSITIVE or (
+        verdict == ZERO_CHARACTERIZED and bool(zero_strata)
+        and all((z.n, z.m) == (k, 1) for z in zero_strata)
+        and (margin is None or margin > 0))
+
+
+def _level_verdict(endpoint_strict: bool, least: Fraction | None,
+                   carriers) -> tuple[str, tuple[str, ...]]:
+    """Verdict of a level k >= 2 from its endpoint and the least drop of its
+    base legs."""
+    if not endpoint_strict:
+        return INCONCLUSIVE, ("upper-endpoint certificate failed; no convex "
+                              "combination available",)
+    if least is not None and least < 0:
+        return INCONCLUSIVE, ("a stratum base certificate has a negative drop",)
+    if carriers:
+        return ZERO_CHARACTERIZED, (
+            "degree zero exactly on curves inside the zero strata "
+            "(the curves collapsed by the reduction increasing k)",)
+    if least == 0:
+        return ZERO_CHARACTERIZED, ("a stratum base certificate has a zero drop",)
+    return STRICTLY_POSITIVE, ()
+
+
+def _k1_verdict(least: Fraction | None, zero_strata) -> tuple[str, tuple[str, ...]]:
+    if least is not None and least < 0:
+        return INCONCLUSIVE, ("a stratum drop table reaches a negative value",)
+    if zero_strata:
+        return ZERO_CHARACTERIZED, ("degree zero exactly on families built from "
+                                    "zero-drop steps",)
+    return STRICTLY_POSITIVE, ()
 
 
 def _certify(n: int, m: int, k: int, c: Fraction,
              eps: Mapping[BoundaryKey, Fraction] | None) -> Certificate:
+    """The interval certification, one weight level at a time from k to 1.
+
+    Below c < (k+1)/(2k) a level is a convex combination of its upper
+    endpoint and one base leg per boundary stratum at c0 (_stratum_leg). The
+    upper endpoint transports one level down with vanishing exceptional
+    coefficient (_check_transport), where the same c is the lower endpoint;
+    at c = (k+1)/(2k) itself no drop table of the top level is evaluated.
+    Level 1 is grounded by per-stratum drop minimization: strata with several
+    weight-one sections are certified through the regrouped grid
+    (n + m - 1, 1), where all but one heavy section count as light, which
+    discards a nonnegative psi contribution when c <= 1 (c is capped at 1;
+    the surplus multiplies a psi class, which pairs nonnegatively).
+    Collision classes do not exist at k = 1, so there the combination
+    matches the ray for every c.
+
+    The levels' legs, strata and trace are listed from level k down; the
+    verdicts then fold from level 1 up. The witness of every level is the
+    first least drop of its part of the trace and the margin its value, so
+    a level's own legs enter its verdict only through their least drop.
+    """
     weights = make_weights(n, m, k)
     lo, hi = ample_interval(k)
     if k == 1:
         if c <= lo:
             raise COutOfInterval(f"k = 1 certification needs c > {lo}, got {c}")
-        return _certify_k1(weights, c, eps)
-    if c < lo or c > hi:
+    elif c < lo or c > hi:
         raise COutOfInterval(
             f"certified interval for k = {k} is [{lo}, {hi}], got {c}")
-    if c == hi:
-        return _certify_upper_endpoint(weights, eps)
 
-    endpoint = _certify_upper_endpoint(weights, eps)
-    stratum_shapes = reachable_strata(n, m, k)
-    legs: list[Certificate] = []
-    carriers: list[WeightVector] = []
-    root_ab: tuple[Fraction, Fraction] | None = None
-    for n1, m1 in stratum_shapes:
-        c0, strict = c0_lower(n1, m1, k)
-        leg = certify_generic(n1, m1, k, c0, eps=eps)
-        legs.append(leg)
-        if (n1, m1) == (n, m):
-            root_ab = (leg.a, leg.b)
-        if c == lo and not strict:
-            # base value equals c itself: no convex room, genuine zero curves
-            carriers.append(make_weights(n1, m1, k))
-
-    witnesses = [leg.witness for leg in legs] + [endpoint.witness]
-    witness = _merge_witness(*witnesses)
-    margin = _merge_min(*[leg.margin for leg in legs], endpoint.margin)
-    notes: list[str] = []
-    if endpoint.verdict != STRICTLY_POSITIVE:
-        verdict = INCONCLUSIVE
-        notes.append("upper-endpoint certificate failed; no convex combination available")
-    elif any(leg.witness is not None and leg.witness.value < 0 for leg in legs):
-        verdict = INCONCLUSIVE
-        notes.append("a stratum base certificate has a negative drop")
-    elif carriers:
-        verdict = ZERO_CHARACTERIZED
-        notes.append("degree zero exactly on curves inside the zero strata "
-                     "(the curves collapsed by the reduction increasing k)")
-    elif any(leg.witness is not None and leg.witness.value == 0 for leg in legs):
-        verdict = ZERO_CHARACTERIZED
-        notes.append("a stratum base certificate has a zero drop")
-    else:
-        verdict = STRICTLY_POSITIVE
-    strata = _sorted_spaces([make_weights(n1, m1, k) for n1, m1 in stratum_shapes]
-                            + list(endpoint.strata_checked))
-    trace = tuple(entry for leg in legs for entry in leg.trace) + endpoint.trace
-    a, b = root_ab if root_ab else (None, None)
-    return Certificate(verdict, weights, c, a, b, witness, margin, strata,
-                       zero_strata=tuple(carriers), trace=trace,
-                       notes=tuple(notes))
-
-
-def _certify_upper_endpoint(weights: WeightVector,
-                            eps: Mapping[BoundaryKey, Fraction] | None) -> Certificate:
-    """Positivity at c = (k+1)/(2k) by transport one weight level down.
-
-    At this value the pulled-back ray has exceptional coefficient exactly 0,
-    so it equals the same ray one level down, where the same c is the lower
-    interval endpoint. Strict transforms of curves are never collapsed, so
-    zeros one level down of the collapsed shape (k, 1) do not obstruct
-    strict positivity upstairs. No drop table is ever evaluated for the top
-    space itself.
-    """
-    k = weights.k
-    c = Fraction(k + 1, 2 * k)
-    down = make_weights(weights.n, weights.m, k - 1)
-    if pullback_reduction(dk_class(weights, c)) != dk_class(down, c):
-        raise NefcertError("internal: endpoint transport identity failed")
-    sub = _certify(weights.n, weights.m, k - 1, c, eps)
-    sub_drops_fine = sub.margin is None or sub.margin > 0
-    if sub.verdict == STRICTLY_POSITIVE:
-        verdict = STRICTLY_POSITIVE
-    elif (sub.verdict == ZERO_CHARACTERIZED and sub.zero_strata
-          and all((z.n, z.m) == (k, 1) for z in sub.zero_strata)
-          and sub_drops_fine):
-        verdict = STRICTLY_POSITIVE
-    else:
-        verdict = INCONCLUSIVE
-    notes = (f"transported to k = {k - 1} with vanishing exceptional coefficient",)
-    if verdict == INCONCLUSIVE:
-        notes += ("lower-level certificate does not confine zeros to collapsed curves",)
-    return Certificate(verdict, weights, c, None, None, sub.witness, sub.margin,
-                       sub.strata_checked, zero_strata=(), trace=sub.trace,
-                       notes=notes)
-
-
-def _certify_k1(weights: WeightVector, c: Fraction,
-                eps: Mapping[BoundaryKey, Fraction] | None) -> Certificate:
-    """Ground certification at k = 1 by per-stratum drop minimization.
-
-    Strata with several weight-one sections are certified through the
-    regrouped grid (n + m - 1, 1): all but one heavy section are treated as
-    light, which discards a nonnegative psi contribution when c <= 1, so a
-    positive regrouped minimum still certifies the original ray (c is
-    capped at 1 for the regrouped combination; the surplus multiplies a
-    psi class, which pairs nonnegatively). Collision classes do not exist
-    at k = 1, so the combination matches the ray for every c.
-    """
-    legs: list[TraceEntry] = []
+    trace: list[TraceEntry] = []
     strata: list[WeightVector] = []
-    zero_strata: list[WeightVector] = []
-    negative = False
-    stratum_shapes = reachable_strata(weights.n, weights.m, 1)
-    for n1, m1 in stratum_shapes:
-        stratum = make_weights(n1, m1, 1)
-        strata.append(stratum)
-        if m1 == 0:
-            grid = stratum
-            a, b = c, Fraction(0)
+    levels = []  # (level, first least drop, zero strata or carriers), level k first
+    root = None
+    used: set[BoundaryKey] = set()
+    for level in range(k, 0, -1):
+        if level > 1:
+            _check_transport(n, m, level)
+        if level == k and c == hi:
+            continue
+        # below the top, a level is reached at the upper endpoint of the level
+        # above: its own lower endpoint for level >= 2, and 3/4 at level 1,
+        # the only level whose legs depend on c
+        at_lo = level < k or c == lo
+        leg_c = None if level > 1 else c if k == 1 else Fraction(3, 4)
+        best = None
+        zeros: list[WeightVector] = []
+        for n1, m1 in reachable_strata(n, m, level):
+            leg, strict = (_stratum_leg(n1, m1, level, leg_c, eps) if eps
+                           else _cached_stratum_leg(n1, m1, level, leg_c))
+            if level == 1:
+                stratum = make_weights(n1, m1, 1)
+                if leg.minimum is not None and leg.minimum.value == 0:
+                    zeros.append(stratum)
+            else:
+                stratum = leg.grid
+                if at_lo and not strict:
+                    # base value equals c itself: no convex room, genuine zero curves
+                    zeros.append(stratum)
+            if leg.minimum is not None and (best is None or leg.minimum.value < best.value):
+                best = leg.minimum
+            if level == k and (n1, m1) == (n, m):
+                root = leg
+            if eps:
+                used.update(key for key in eps
+                            if key.is_admissible(leg.grid) and key.is_canonical(leg.grid))
+            strata.append(stratum)
+            trace.append(leg)
+        levels.append((level, best, zeros))
+    if eps and len(used) < len(eps):
+        unused = min(set(eps) - used)
+        raise InvalidBoundaryKey(
+            f"({unused.label()}) is the canonical key of no admissible cell in "
+            f"any grid visited from ({weights.label()})")
+
+    verdict, zero_strata, witness = None, (), None
+    for level, best, zeros in reversed(levels):
+        least = best.value if best is not None else None
+        if level == 1:
+            verdict, notes = _k1_verdict(least, zeros)
         else:
-            pooled = n1 + m1 - 1
-            grid = make_weights(pooled, 1, 1)
-            c_eff = min(c, Fraction(1))
-            a, b = c_eff - Fraction(1, pooled), Fraction(1)
-        coeffs = CoefficientVector.from_ab(grid.n, grid.m, a, b)
-        best = min_drop(grid.n, grid.m, 1, coeffs, eps)
-        legs.append(TraceEntry(grid, c, a, b, best))
-        if best is not None:
-            if best.value < 0:
-                negative = True
-            elif best.value == 0:
-                zero_strata.append(stratum)
-    witness = _merge_witness(*[leg.minimum for leg in legs])
-    margin = _merge_min(*[leg.minimum.value if leg.minimum else None for leg in legs])
-    if negative:
-        verdict = INCONCLUSIVE
-        notes = ("a stratum drop table reaches a negative value",)
-    elif zero_strata:
-        verdict = ZERO_CHARACTERIZED
-        notes = ("degree zero exactly on families built from zero-drop steps",)
+            margin = witness.value if witness is not None else None
+            verdict, notes = _level_verdict(
+                _transports(verdict, zero_strata, margin, level), least, zeros)
+        zero_strata = tuple(zeros)
+        # on ties the higher level wins: it comes first in the trace
+        if best is not None and (witness is None or best.value <= witness.value):
+            witness = best
+    margin = witness.value if witness is not None else None
+    if c == hi:
+        strict = _transports(verdict, zero_strata, margin, k)
+        verdict = STRICTLY_POSITIVE if strict else INCONCLUSIVE
+        zero_strata = ()
+        notes = (f"transported to k = {k - 1} with vanishing exceptional coefficient",)
+        if not strict:
+            notes += ("lower-level certificate does not confine zeros to collapsed curves",)
+        a = b = None
     else:
-        verdict = STRICTLY_POSITIVE
-        notes = ()
-    root = legs[stratum_shapes.index((weights.n, weights.m))]
-    return Certificate(verdict, weights, c, root.a, root.b, witness, margin,
-                       _sorted_spaces(strata), zero_strata=tuple(zero_strata),
-                       trace=tuple(legs), notes=notes)
+        a, b = root.a, root.b
+    return Certificate(verdict, weights, c, a, b, witness, margin, tuple(strata),
+                       zero_strata=zero_strata, trace=tuple(trace), notes=notes)

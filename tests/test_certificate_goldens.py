@@ -1,21 +1,28 @@
-"""Byte-identity guard for `certify --json`.
+"""Byte-identity guard for `certify --json` and for whole certificates.
 
-Each case's stdout and exit code are stored in certificate_goldens.json and
-compared byte for byte, so a change to the drop kernels, the strata
+Each CLI case's stdout and exit code are stored in certificate_goldens.json
+and compared byte for byte, so a change to the drop kernels, the strata
 closure or the certification engine that alters any certificate fails
 here. The table covers every role (lower endpoint, interior, upper
-endpoint, eps perturbation, --generic-only) with k from 1 to 5.
+endpoint, eps perturbation, --generic-only) with k from 1 to 5, plus long
+transport chains up to k = 60.
+
+`certify --json` omits the trace, so API_CASES store a SHA-256 of the
+repr of the full Certificate, trace included, under "api ..." keys.
 
 Run `PYTHONPATH=src python tests/test_certificate_goldens.py` to rewrite
 the stored outputs after a deliberate change of the certificate format.
 """
 
+import hashlib
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from nefcert import certify_interval, perturbed_certify
 from nefcert.cli import main
 
 GOLDENS = Path(__file__).with_name("certificate_goldens.json")
@@ -38,6 +45,31 @@ CASES = [
     ("4", "1", "3", "5/8", ("--generic-only",)),
     ("8", "3", "3", "2/5", ("--generic-only",)),
     ("12", "2", "5", "3/5", ("--generic-only", "--eps", "3,1=1/7")),
+    ("3", "3", "40", "3361/6560", ()),
+    ("1", "6", "60", "7441/14640", ()),
+    ("8", "3", "6", "4/7", ()),
+    ("8", "3", "6", "7/12", ()),
+    ("5", "2", "8", "9/16", ()),
+    ("10", "2", "7", "127/224", ("--eps", "3,1=-1/64")),
+]
+
+# (function, n, m, k, c, eps): the Certificate repr, trace included, is hashed
+API_CASES = [
+    (certify_interval, 7, 0, 2, F(2, 3), None),
+    (certify_interval, 7, 0, 2, F(7, 10), None),
+    (certify_interval, 7, 0, 2, F(3, 4), None),
+    (certify_interval, 5, 2, 1, F(4, 5), None),
+    (certify_interval, 12, 3, 5, F(59, 100), None),
+    (certify_interval, 8, 3, 6, F(4, 7), None),
+    (certify_interval, 8, 3, 6, F(97, 168), None),
+    (certify_interval, 8, 3, 6, F(7, 12), None),
+    (certify_interval, 3, 3, 40, F(21, 41), None),
+    (certify_interval, 3, 3, 40, F(3361, 6560), None),
+    (certify_interval, 3, 3, 40, F(41, 80), None),
+    (certify_interval, 1, 6, 60, F(7441, 14640), None),
+    (certify_interval, 1, 6, 60, F(61, 120), None),
+    (perturbed_certify, 7, 0, 2, F(7, 10), {(1, 1): F(-1, 100), (3, 0): F(1, 50)}),
+    (perturbed_certify, 9, 2, 4, F(61, 100), {(2, 1): F(-1, 100), (0, 2): F(1, 7)}),
 ]
 
 
@@ -51,13 +83,33 @@ def _run(case) -> dict:
     return {"exit_code": result.exit_code, "stdout": result.stdout}
 
 
+def _api_key(case) -> str:
+    function, n, m, k, c, eps = case
+    spelled = "" if eps is None else " " + ",".join(
+        f"{i},{j}={value}" for (i, j), value in sorted(eps.items()))
+    return f"api {function.__name__} {n} {m} {k} {c}{spelled}"
+
+
+def _api_digest(case) -> str:
+    function, n, m, k, c, eps = case
+    cert = function(n, m, k, c) if eps is None else function(n, m, k, c, eps)
+    return hashlib.sha256(repr(cert).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(_args(case)[1:-1]))
 def test_certify_json_is_byte_identical(case):
     stored = json.loads(GOLDENS.read_text(encoding="utf-8"))
     assert _run(case) == stored[" ".join(_args(case))]
 
 
+@pytest.mark.parametrize("case", API_CASES, ids=_api_key)
+def test_certificate_with_trace_is_identical(case):
+    stored = json.loads(GOLDENS.read_text(encoding="utf-8"))
+    assert _api_digest(case) == stored[_api_key(case)]
+
+
 if __name__ == "__main__":
     outputs = {" ".join(_args(case)): _run(case) for case in CASES}
+    outputs.update({_api_key(case): _api_digest(case) for case in API_CASES})
     GOLDENS.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")

@@ -331,3 +331,12 @@ class TestEpsKeys:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr.startswith("error: --eps: ")
+
+    def test_root_divisor_no_visited_grid_carries_exits_one(self, runner):
+        # at k = 1 strata with heavy sections are certified on regrouped grids
+        # (n + m - 1, 1), none of which has the cell (1, 2) of (5, 2, 1)
+        result = runner.invoke(main, ["certify", "--n", "5", "--m", "2", "--k", "1",
+                                      "--c", "4/5", "--eps", "1,2=-1/100"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: --eps: (1,2) ")

@@ -12,7 +12,7 @@ from nefcert.errors import (
     ShapeNotFunctorial,
     UnequalTauCoefficients,
 )
-from helpers import random_family_batch
+from helpers import random_concrete_family_on, random_family_batch
 
 
 def diagonal_family():
@@ -236,6 +236,27 @@ class TestCombinationValue:
                       + 2 * a / (w.n - 1) * report.delta_s_B
                       + heavy * report.psi_tau_B - report.delta_B)
             assert nc.combination_value(fam, a, b) == direct
+
+    def test_pinned_at_m_0_1_2(self):
+        # the (m-b)/m weight of F_tau, written out; CoefficientVector.from_ab
+        # sets it to 0 at m = 1, where F_tau vanishes
+        rng = random.Random(7)
+        for weights in (nc.make_weights(6, 0, 2), nc.make_weights(5, 1, 2),
+                        nc.make_weights(4, 2, 2)):
+            m = weights.m
+            for _ in range(8):
+                fam = random_concrete_family_on(rng, weights)
+                a = F(rng.randint(-8, 8), rng.randint(1, 6))
+                b = F(rng.randint(-8, 8), rng.randint(1, 6)) if m else F(0)
+                f_delta, f_sigma, f_tau, f_mixed = nc.f_values(fam, 0)
+                if m == 1:
+                    assert f_tau == 0
+                written = a * f_sigma + b * f_mixed - f_delta
+                if m:
+                    written += (m - b) * f_tau / m
+                assert nc.combination_value(fam, a, b) == written
+                coeffs = nc.CoefficientVector.from_ab(weights.n, m, a, b)
+                assert nc.g_series(fam, coeffs)[0] == written
 
 
 class TestStratified:

@@ -1,10 +1,12 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 import nefcert as nc
+from nefcert import positivity
 from nefcert.errors import COutOfInterval, InvalidBoundaryKey, InvalidWeights, NoCaseApplies
 from nefcert.positivity import INCONCLUSIVE, STRICTLY_POSITIVE, ZERO_CHARACTERIZED
 
@@ -407,6 +409,82 @@ class TestEpsKeys:
         for key in ((99, 99), (-1, 0), (0, 8)):
             with pytest.raises(InvalidBoundaryKey):
                 nc.perturbed_certify(7, 0, 2, F(7, 10), {key: F(-1)})
+
+    def test_perturbed_rejects_keys_of_no_visited_cell(self):
+        # (5, 0) fits in the grid of (7, 0) but is the canonical key of no
+        # admissible cell in any grid certify_interval(7, 0, 2, .) visits
+        with pytest.raises(InvalidBoundaryKey, match=r"\(5,0\)"):
+            nc.perturbed_certify(7, 0, 2, F(7, 10), {(5, 0): F(-100)})
+        # a root divisor at k = 1 that no regrouped grid (n + m - 1, 1) carries
+        with pytest.raises(InvalidBoundaryKey, match=r"\(1,2\)"):
+            nc.perturbed_certify(5, 2, 1, F(4, 5), {(1, 2): F(-1, 100)})
+
+    def test_perturbed_accepts_labels_of_stratum_grids_only(self):
+        # (1, 1) is no cell of the root grid (7, 0) but labels stratum cells
+        base = nc.certify_interval(7, 0, 2, F(7, 10))
+        assert not nc.BoundaryKey(1, 1).is_admissible(nc.make_weights(7, 0, 2))
+        cert = nc.perturbed_certify(7, 0, 2, F(7, 10), {(1, 1): F(-1, 1000)})
+        assert cert.verdict == STRICTLY_POSITIVE
+        assert cert != base
+
+
+def _interior(k):
+    lo, hi = nc.ample_interval(k)
+    return (lo + hi) / 2
+
+
+class TestLegMemo:
+    VECTORS = ((7, 0, 2), (9, 2, 4), (6, 1, 3), (12, 3, 5), (3, 3, 12))
+
+    def _cs(self, k):
+        lo, hi = nc.ample_interval(k)
+        return (lo, _interior(k), hi)
+
+    def test_cold_and_warm_certificates_are_equal(self):
+        for n, m, k in self.VECTORS:
+            for c in self._cs(k):
+                positivity._cached_stratum_leg.cache_clear()
+                cold = nc.certify_interval(n, m, k, c)
+                assert positivity._cached_stratum_leg.cache_info().misses > 0
+                warm = nc.certify_interval(n, m, k, c)
+                assert warm == cold and warm.trace == cold.trace
+                assert len(warm.trace) == len(warm.strata_checked)
+
+    def test_perturbation_leaves_the_memo_alone(self):
+        positivity._cached_stratum_leg.cache_clear()
+        before = {(n, m, k, c): nc.certify_interval(n, m, k, c)
+                  for n, m, k in self.VECTORS for c in self._cs(k)}
+        info = positivity._cached_stratum_leg.cache_info()
+        for n, m, k in self.VECTORS:
+            base = nc.certify_interval(n, m, k, _interior(k))
+            grid = next(e.grid for e in base.trace if e.minimum == base.witness)
+            key = min((base.witness.r1, base.witness.r2),
+                      (grid.n - base.witness.r1, grid.m - base.witness.r2))
+            shifted = nc.perturbed_certify(n, m, k, _interior(k), {key: -base.margin})
+            assert shifted.verdict != STRICTLY_POSITIVE
+        assert positivity._cached_stratum_leg.cache_info().currsize == info.currsize
+        for (n, m, k, c), cert in before.items():
+            assert nc.certify_interval(n, m, k, c) == cert
+
+    def test_empty_perturbation_is_certify_interval(self):
+        for n, m, k in self.VECTORS:
+            for c in self._cs(k):
+                assert nc.perturbed_certify(n, m, k, c, {}) == nc.certify_interval(n, m, k, c)
+        assert nc.perturbed_certify(5, 2, 1, F(5, 4), {}) == nc.certify_interval(5, 2, 1, F(5, 4))
+
+    def test_memo_is_bounded(self):
+        assert positivity._cached_stratum_leg.cache_info().maxsize == 2048
+
+
+class TestLongChains:
+    def test_k_600_needs_no_recursion(self):
+        # the k -> 1 chain is a loop: 600 levels stay far inside the default
+        # recursion limit
+        assert sys.getrecursionlimit() < 3 * 600
+        cert = nc.certify_interval(1, 3, 600, _interior(600))
+        assert cert.verdict == STRICTLY_POSITIVE
+        assert cert.margin > 0
+        assert {w.k for w in cert.strata_checked} == set(range(1, 601))
 
 
 class TestOracles:

@@ -70,6 +70,9 @@ API_CASES = [
     (certify_interval, 1, 6, 60, F(61, 120), None),
     (perturbed_certify, 7, 0, 2, F(7, 10), {(1, 1): F(-1, 100), (3, 0): F(1, 50)}),
     (perturbed_certify, 9, 2, 4, F(61, 100), {(2, 1): F(-1, 100), (0, 2): F(1, 7)}),
+    # least drops of two levels tie at different counts: the higher level's wins
+    (perturbed_certify, 3, 2, 4, F(49, 80),
+     {(0, 2): F(-1, 8), (1, 1): F(1, 8), (2, 0): F(-1, 24)}),
 ]
 
 

@@ -447,7 +447,8 @@ class TestLegMemo:
                 cold = nc.certify_interval(n, m, k, c)
                 assert positivity._cached_stratum_leg.cache_info().misses > 0
                 warm = nc.certify_interval(n, m, k, c)
-                assert warm == cold and warm.trace == cold.trace
+                # dataclass equality compares every field, the trace included
+                assert warm == cold
                 assert len(warm.trace) == len(warm.strata_checked)
 
     def test_perturbation_leaves_the_memo_alone(self):
@@ -456,13 +457,13 @@ class TestLegMemo:
                   for n, m, k in self.VECTORS for c in self._cs(k)}
         info = positivity._cached_stratum_leg.cache_info()
         for n, m, k in self.VECTORS:
-            base = nc.certify_interval(n, m, k, _interior(k))
+            base = before[(n, m, k, _interior(k))]
             grid = next(e.grid for e in base.trace if e.minimum == base.witness)
             key = min((base.witness.r1, base.witness.r2),
                       (grid.n - base.witness.r1, grid.m - base.witness.r2))
             shifted = nc.perturbed_certify(n, m, k, _interior(k), {key: -base.margin})
             assert shifted.verdict != STRICTLY_POSITIVE
-        assert positivity._cached_stratum_leg.cache_info().currsize == info.currsize
+        assert positivity._cached_stratum_leg.cache_info() == info
         for (n, m, k, c), cert in before.items():
             assert nc.certify_interval(n, m, k, c) == cert
 

@@ -1,17 +1,20 @@
-"""Byte-identity guard for `certify --json` and for whole certificates.
+"""Byte-identity guard for the CLI and for whole certificates.
 
-Each CLI case's stdout and exit code are stored in certificate_goldens.json
-and compared byte for byte, so a change to the drop kernels, the strata
-closure or the certification engine that alters any certificate fails
-here. The table covers every role (lower endpoint, interior, upper
-endpoint, eps perturbation, --generic-only) with k from 1 to 5, plus long
-transport chains up to k = 60.
+Each CLI case is an argv with optional stdin; its stdout and exit code are
+stored in certificate_goldens.json and compared byte for byte, so a change
+to the drop kernels, the strata closure, the certification engine or the
+command table that alters any output fails here. The `certify --json`
+cases cover every role (lower endpoint, interior, upper endpoint, eps
+perturbation, --generic-only) with k from 1 to 5, plus long transport
+chains up to k = 60. The other cases are the README's commands, with the
+family commands run on test_cli.STABLE written to stable.json in a
+temporary directory.
 
 `certify --json` omits the trace, so API_CASES store a SHA-256 of the
 repr of the full Certificate, trace included, under "api ..." keys.
 
 Run `PYTHONPATH=src python tests/test_certificate_goldens.py` to rewrite
-the stored outputs after a deliberate change of the certificate format.
+the stored outputs after a deliberate change of an output format.
 """
 
 import hashlib
@@ -24,33 +27,63 @@ from click.testing import CliRunner
 
 from nefcert import certify_interval, perturbed_certify
 from nefcert.cli import main
+from test_cli import STABLE
 
 GOLDENS = Path(__file__).with_name("certificate_goldens.json")
 
-# (n, m, k, c, extra flags)
+
+def _certify(n, m, k, c, *extra):
+    """A `certify --json` case; its test id omits the command and --json."""
+    flags = ["--n", n, "--m", m, "--k", k, "--c", c, *extra]
+    return pytest.param(["certify", *flags, "--json"], None, id=" ".join(flags))
+
+
+def _readme(*argv, stdin=None):
+    return pytest.param(list(argv), stdin, id=" ".join(argv))
+
+
+# (argv, stdin)
 CASES = [
-    ("7", "0", "2", "2/3", ()),
-    ("7", "0", "2", "7/10", ()),
-    ("7", "0", "2", "3/4", ()),
-    ("5", "2", "1", "4/5", ()),
-    ("6", "1", "3", "5/8", ()),
-    ("7", "2", "3", "13/20", ()),
-    ("9", "2", "4", "5/8", ()),
-    ("9", "2", "4", "61/100", ("--eps", "2,1=-1/100")),
-    ("12", "3", "5", "59/100", ()),
-    ("8", "2", "5", "7/12", ()),
-    ("7", "0", "2", "7/10", ("--eps", "3,0=-1/24")),
-    ("7", "0", "2", "7/10", ("--eps", "3,0=-1/5")),
-    ("6", "1", "1", "3/4", ("--eps", "2,0=-1/50")),
-    ("4", "1", "3", "5/8", ("--generic-only",)),
-    ("8", "3", "3", "2/5", ("--generic-only",)),
-    ("12", "2", "5", "3/5", ("--generic-only", "--eps", "3,1=1/7")),
-    ("3", "3", "40", "3361/6560", ()),
-    ("1", "6", "60", "7441/14640", ()),
-    ("8", "3", "6", "4/7", ()),
-    ("8", "3", "6", "7/12", ()),
-    ("5", "2", "8", "9/16", ()),
-    ("10", "2", "7", "127/224", ("--eps", "3,1=-1/64")),
+    _certify("7", "0", "2", "2/3"),
+    _certify("7", "0", "2", "7/10"),
+    _certify("7", "0", "2", "3/4"),
+    _certify("5", "2", "1", "4/5"),
+    _certify("6", "1", "3", "5/8"),
+    _certify("7", "2", "3", "13/20"),
+    _certify("9", "2", "4", "5/8"),
+    _certify("9", "2", "4", "61/100", "--eps", "2,1=-1/100"),
+    _certify("12", "3", "5", "59/100"),
+    _certify("8", "2", "5", "7/12"),
+    _certify("7", "0", "2", "7/10", "--eps", "3,0=-1/24"),
+    _certify("7", "0", "2", "7/10", "--eps", "3,0=-1/5"),
+    _certify("6", "1", "1", "3/4", "--eps", "2,0=-1/50"),
+    _certify("4", "1", "3", "5/8", "--generic-only"),
+    _certify("8", "3", "3", "2/5", "--generic-only"),
+    _certify("12", "2", "5", "3/5", "--generic-only", "--eps", "3,1=1/7"),
+    _certify("3", "3", "40", "3361/6560"),
+    _certify("1", "6", "60", "7441/14640"),
+    _certify("8", "3", "6", "4/7"),
+    _certify("8", "3", "6", "7/12"),
+    _certify("5", "2", "8", "9/16"),
+    _certify("10", "2", "7", "127/224", "--eps", "3,1=-1/64"),
+    _readme("class", "dk", "--n", "5", "--m", "0", "--k", "2", "--c", "3/4"),
+    _readme("class", "logcanonical", "--n", "6", "--alpha", "1/2"),
+    _readme("class", "pull-reduction", "--n", "7", "--m", "0", "--k", "3",
+            stdin="# ambient n=7 m=0 k=3\npsi_sigma\t2/3\ndelta_s\t1/3\ndelta\t-1\n"),
+    _readme("class", "pull-replacement", "--n", "7", "--m", "0", "--k", "3",
+            "--dk", "--c", "2/3"),
+    _readme("class", "push", "--n", "5", "--m", "1", "--k", "2",
+            stdin="psi_sigma\t3/4\ndelta\t-1\n"),
+    _readme("class", "push", "--help"),
+    _readme("class", "pull-reduction", "--help"),
+    _readme("class", "pull-replacement", "--help"),
+    _readme("family", "validate", "stable.json"),
+    _readme("family", "eval", "stable.json", "--dk", "--c", "2/3"),
+    _readme("family", "numbers", "stable.json"),
+    _readme("family", "fvalues", "stable.json"),
+    _readme("family", "gseries", "stable.json", "--a", "3/4", "--b", "0"),
+    _readme("thresholds", "--k", "2", "--nmax", "7", "--mmax", "1"),
+    _readme("fixtures"),
 ]
 
 # (function, n, m, k, c, eps): the Certificate repr, trace included, is hashed
@@ -76,13 +109,13 @@ API_CASES = [
 ]
 
 
-def _args(case) -> list[str]:
-    n, m, k, c, extra = case
-    return ["certify", "--n", n, "--m", m, "--k", k, "--c", c, *extra, "--json"]
-
-
-def _run(case) -> dict:
-    result = CliRunner().invoke(main, _args(case), catch_exceptions=False)
+def _run(argv, stdin) -> dict:
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("stable.json").write_text(STABLE, encoding="utf-8")
+        # a fixed width keeps --help independent of the terminal
+        result = runner.invoke(main, argv, input=stdin, terminal_width=80,
+                               catch_exceptions=False)
     return {"exit_code": result.exit_code, "stdout": result.stdout}
 
 
@@ -99,10 +132,10 @@ def _api_digest(case) -> str:
     return hashlib.sha256(repr(cert).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(_args(case)[1:-1]))
-def test_certify_json_is_byte_identical(case):
+@pytest.mark.parametrize("argv, stdin", CASES)
+def test_certify_json_is_byte_identical(argv, stdin):
     stored = json.loads(GOLDENS.read_text(encoding="utf-8"))
-    assert _run(case) == stored[" ".join(_args(case))]
+    assert _run(argv, stdin) == stored[" ".join(argv)]
 
 
 @pytest.mark.parametrize("case", API_CASES, ids=_api_key)
@@ -112,7 +145,7 @@ def test_certificate_with_trace_is_identical(case):
 
 
 if __name__ == "__main__":
-    outputs = {" ".join(_args(case)): _run(case) for case in CASES}
+    outputs = {" ".join(case.values[0]): _run(*case.values) for case in CASES}
     outputs.update({_api_key(case): _api_digest(case) for case in API_CASES})
     GOLDENS.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")

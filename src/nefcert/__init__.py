@@ -6,7 +6,6 @@ from .divisors import (
     DivisorClass,
     LogCanonicalForm,
     WeightVector,
-    alpha_c_convert,
     alpha_to_c,
     c_to_alpha,
     canonical_boundary_key,

@@ -113,21 +113,6 @@ def _with_weights(command):
     return command
 
 
-def _read_input_class(ambient, in_path, use_dk, c_text, flag_ctx):
-    if use_dk:
-        if c_text is None:
-            _fail(f"{flag_ctx}: --dk needs --c")
-        return dk_class(ambient, _rat(c_text, "--c"))
-    if in_path is not None:
-        text = _read_text(in_path, "--in")
-    else:
-        text = sys.stdin.read()
-    try:
-        return class_from_record(text, ambient)
-    except NefcertError as err:
-        _fail(str(err))
-
-
 @class_group.command("dk")
 @_with_weights
 @click.option("--c", "c_text", required=True, help="ray parameter, p/q")
@@ -162,77 +147,73 @@ def class_logcanonical(n, alpha_text, as_json) -> None:
     click.echo(class_to_record(form.raw), nl=False)
 
 
-@class_group.command("push")
-@_with_weights
-@click.option("--in", "in_path", type=click.Path(), default=None)
-@click.option("--dk", "use_dk", is_flag=True,
-              help="use the dk ray on the unweighted source as input")
-@click.option("--c", "c_text", default=None)
-@click.option("--json", "as_json", is_flag=True)
-def class_push(n, m, k, in_path, use_dk, c_text, as_json) -> None:
-    """Push a psi/delta class forward from the unweighted space onto (n,m,k)."""
-    target = _weights(n, m, k)
-    try:
-        source = make_weights(target.n + target.m, 0, 1)
-        cls = _read_input_class(source, in_path, use_dk, c_text, "push")
-        result = mor.pushforward_reduction(cls, target)
-    except NefcertError as err:
-        _fail(str(err))
-    _emit_class(result, as_json)
+# name, docstring, map of (class, target), input space of the target (None:
+# the target itself), optional comment line of (target, result)
+_TRANSPORTS = (
+    ("push", "Push a psi/delta class forward from the unweighted space onto (n,m,k).",
+     mor.pushforward_reduction,
+     lambda target: mor.MorphismSpec.reduction_from_unweighted(target).source, None),
+    ("pull-reduction",
+     "Pull a class on (n,m,k) back along the weight reduction from (n,m,k-1).",
+     lambda cls, target: mor.pullback_reduction(cls), None,
+     lambda target, result: (None if result.boundary
+                             else f"# exceptional boundary[{target.k},0] 0")),
+    ("pull-replacement", "Pull a class on (n,m,k) back along the section replacement.",
+     lambda cls, target: mor.pullback_replacement(cls), None, None),
+)
 
 
-@class_group.command("pull-reduction")
-@_with_weights
-@click.option("--in", "in_path", type=click.Path(), default=None)
-@click.option("--dk", "use_dk", is_flag=True)
-@click.option("--c", "c_text", default=None)
-@click.option("--json", "as_json", is_flag=True)
-def class_pull_reduction(n, m, k, in_path, use_dk, c_text, as_json) -> None:
-    """Pull a class on (n,m,k) back along the weight reduction from (n,m,k-1)."""
-    target = _weights(n, m, k)
-    try:
-        cls = _read_input_class(target, in_path, use_dk, c_text, "pull-reduction")
-        result = mor.pullback_reduction(cls)
-    except NefcertError as err:
-        _fail(str(err))
-    if not as_json and target.k >= 2 and not result.boundary:
-        click.echo(f"# exceptional boundary[{target.k},0] 0")
-    _emit_class(result, as_json)
+def _transport_command(name, doc, apply, input_space, comment):
+    def command(n, m, k, in_path, use_dk, c_text, as_json) -> None:
+        target = _weights(n, m, k)
+        if use_dk and c_text is None:
+            _fail(f"{name}: --dk needs --c")
+        try:
+            ambient = input_space(target) if input_space else target
+            if use_dk:
+                cls = dk_class(ambient, _rat(c_text, "--c"))
+            else:
+                text = sys.stdin.read() if in_path is None else _read_text(in_path, "--in")
+                cls = class_from_record(text, ambient)
+            result = apply(cls, target)
+        except NefcertError as err:
+            _fail(str(err))
+        line = comment(target, result) if comment else None
+        if line and not as_json:
+            click.echo(line)
+        _emit_class(result, as_json)
+
+    command.__doc__ = doc
+    # only push reads its input on another space, the unweighted source
+    dk_help = "use the dk ray on the unweighted source as input" if input_space else None
+    for option in reversed([
+            click.option("--in", "in_path", type=click.Path(), default=None),
+            click.option("--dk", "use_dk", is_flag=True, help=dk_help),
+            click.option("--c", "c_text", default=None),
+            click.option("--json", "as_json", is_flag=True)]):
+        command = option(command)
+    class_group.command(name)(_with_weights(command))
 
 
-@class_group.command("pull-replacement")
-@_with_weights
-@click.option("--in", "in_path", type=click.Path(), default=None)
-@click.option("--dk", "use_dk", is_flag=True)
-@click.option("--c", "c_text", default=None)
-@click.option("--json", "as_json", is_flag=True)
-def class_pull_replacement(n, m, k, in_path, use_dk, c_text, as_json) -> None:
-    """Pull a class on (n,m,k) back along the section replacement."""
-    target = _weights(n, m, k)
-    try:
-        cls = _read_input_class(target, in_path, use_dk, c_text, "pull-replacement")
-        result = mor.pullback_replacement(cls)
-    except NefcertError as err:
-        _fail(str(err))
-    _emit_class(result, as_json)
+for _row in _TRANSPORTS:
+    _transport_command(*_row)
 
 
 # --- family subcommands ----------------------------------------------------------
 
 def _load_family(path: str) -> fam.FamilyModel:
+    """The family in the file at path; exits 1 naming every violation."""
     text = _read_text(path, "PATH")
     try:
-        return fam.family_from_json(text)
+        family = fam.family_from_json(text)
     except NefcertError as err:
         _fail(f"{path}: {err}")
-
-
-def _require_valid(family: fam.FamilyModel, path: str) -> None:
     violations = fam.validate_family(family)
     if violations:
         for violation in violations:
             click.echo(f"{path}: {violation}", err=True)
         sys.exit(1)
+    return family
 
 
 @main.group("family")
@@ -245,7 +226,6 @@ def family_group() -> None:
 def family_validate(path) -> None:
     """Report invariant violations; silent exit 0 when none."""
     family = _load_family(path)
-    _require_valid(family, path)
     click.echo("valid")
 
 
@@ -257,7 +237,6 @@ def family_validate(path) -> None:
 def family_eval(path, class_path, use_dk, c_text) -> None:
     """Pair a divisor class with the family."""
     family = _load_family(path)
-    _require_valid(family, path)
     weights = family.weights
     try:
         if use_dk:
@@ -279,7 +258,6 @@ def family_eval(path, class_path, use_dk, c_text) -> None:
 def family_numbers(path) -> None:
     """Intersection numbers of the family with the basis classes."""
     family = _load_family(path)
-    _require_valid(family, path)
     try:
         report = fam.intersection_numbers(family)
     except NefcertError as err:
@@ -297,7 +275,6 @@ def family_numbers(path) -> None:
 def family_fvalues(path) -> None:
     """Per-level potentials: i, F_delta, F_sigma, F_tau, F_sigma_tau."""
     family = _load_family(path)
-    _require_valid(family, path)
     click.echo("# i\tF_delta\tF_sigma\tF_tau\tF_sigma_tau")
     for level in range(family.n_steps + 1):
         values = fam.f_values(family, level)
@@ -311,7 +288,6 @@ def family_fvalues(path) -> None:
 def family_gseries(path, a_text, b_text) -> None:
     """The combined potential per level for the (a, b) combination."""
     family = _load_family(path)
-    _require_valid(family, path)
     a = _rat(a_text, "--a")
     b = _rat(b_text, "--b")
     try:

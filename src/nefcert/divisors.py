@@ -102,8 +102,7 @@ def canonical_boundary_key(ambient: WeightVector, i: int, j: int) -> BoundaryKey
         raise InvalidBoundaryKey(
             f"({i},{j}) is not a boundary divisor on ({ambient.label()}): "
             "both sides must carry weight > 1")
-    other = key.complement(ambient)
-    return key if (key.i, key.j) <= (other.i, other.j) else other
+    return key if key.is_canonical(ambient) else key.complement(ambient)
 
 
 @dataclass(frozen=True)
@@ -205,19 +204,6 @@ def c_to_alpha(c) -> Fraction:
     return 2 - 1 / exact(c)
 
 
-def alpha_c_convert(x, direction: str) -> Fraction:
-    """Convert between the log-canonical parameter and the ray parameter.
-
-    direction is "to_c" (x is alpha) or "to_alpha" (x is c); the two maps
-    are mutually inverse on their domains.
-    """
-    if direction == "to_c":
-        return alpha_to_c(x)
-    if direction == "to_alpha":
-        return c_to_alpha(x)
-    raise ValueError(f"direction must be 'to_c' or 'to_alpha', got {direction!r}")
-
-
 def log_canonical_class(n: int, alpha) -> LogCanonicalForm:
     """psi + (alpha - 2) delta on the unweighted space with n points, alpha in [0, 1]."""
     alpha = exact(alpha)
@@ -284,50 +270,50 @@ def _record_entries(text: str) -> Iterator[tuple[str, str]]:
 def class_from_record(text: str, ambient: WeightVector) -> DivisorClass:
     """Parse a flat record back into a class on the given ambient space.
 
-    Missing coefficients default to 0; unknown or repeated keys are errors.
+    Missing coefficients default to 0; unknown keys are errors, and so are
+    two keys naming one coefficient, also when spelled differently
+    (psi_tau[1] and psi_tau[01], or a boundary key and its complement).
     Lines starting with '#' are comments.
     """
-    psi_sigma = Fraction(0)
-    delta_s = Fraction(0)
-    delta = Fraction(0)
-    psi_tau = [Fraction(0)] * ambient.m
-    boundary: dict[BoundaryKey, Fraction] = {}
-    seen: set[str] = set()
+    # by coefficient: its name, psi_tau index or canonical BoundaryKey
+    spellings: dict[object, str] = {}
+    values: dict[object, Fraction] = {}
     for key, raw_value in _record_entries(text):
-        if key in seen:
-            raise RecordFormatError(f"repeated key {key!r}")
-        seen.add(key)
-        try:
-            value = parse_rational(raw_value)
-        except ValueError as err:
-            raise RecordFormatError(f"{key}: {err}") from None
-        if key == "psi_sigma":
-            psi_sigma = value
-        elif key == "delta_s":
-            delta_s = value
-        elif key == "delta":
-            delta = value
+        if key in ("psi_sigma", "delta_s", "delta"):
+            coefficient = key
         elif key.startswith("psi_tau[") and key.endswith("]"):
             try:
-                idx = int(key[len("psi_tau["):-1])
+                coefficient = int(key[len("psi_tau["):-1])
             except ValueError:
                 raise RecordFormatError(f"bad psi_tau index in {key!r}") from None
-            if not 1 <= idx <= ambient.m:
+            if not 1 <= coefficient <= ambient.m:
                 raise RecordFormatError(
-                    f"psi_tau index {idx} out of range 1..{ambient.m}")
-            psi_tau[idx - 1] = value
+                    f"psi_tau index {coefficient} out of range 1..{ambient.m}")
         elif key.startswith("boundary[") and key.endswith("]"):
             body = key[len("boundary["):-1]
             try:
                 i_text, j_text = body.split(",")
-                bkey = canonical_boundary_key(ambient, int(i_text), int(j_text))
+                coefficient = canonical_boundary_key(ambient, int(i_text), int(j_text))
             except (ValueError, InvalidBoundaryKey) as err:
                 raise RecordFormatError(f"bad boundary key {key!r}: {err}") from None
-            boundary[bkey] = value
         else:
             raise RecordFormatError(f"unknown key {key!r}")
+        earlier = spellings.get(coefficient)
+        if earlier is not None:
+            raise RecordFormatError(
+                f"repeated key {key!r}" if earlier == key
+                else f"{earlier!r} and {key!r} name the same coefficient")
+        spellings[coefficient] = key
+        try:
+            values[coefficient] = parse_rational(raw_value)
+        except ValueError as err:
+            raise RecordFormatError(f"{key}: {err}") from None
+    zero = Fraction(0)
     try:
-        return DivisorClass(ambient, psi_sigma, tuple(psi_tau), delta_s, delta,
-                            boundary)
+        return DivisorClass(
+            ambient, values.get("psi_sigma", zero),
+            tuple(values.get(idx, zero) for idx in range(1, ambient.m + 1)),
+            values.get("delta_s", zero), values.get("delta", zero),
+            {key: value for key, value in values.items() if isinstance(key, BoundaryKey)})
     except ValueError as err:
         raise RecordFormatError(str(err)) from None

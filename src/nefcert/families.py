@@ -283,18 +283,18 @@ class CoefficientVector:
                 + self.a_sigma_tau * f_mixed - self.a_delta * f_delta)
 
 
-def _step_drops(w: WeightVector, step: BlowdownStep) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(delta, sigma, tau, sigma-tau) potential drops of one step.
+def _step_drops(n: int, m: int, r1: int, r2: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(delta, sigma, tau, sigma-tau) potential drops of a step meeting r1
+    light and r2 heavy of n light and m heavy sections.
 
     Pair sums with fewer than two members vanish: the sigma drop is 0 when
     n <= 1, the tau drop when m <= 1, the mixed drop when nm = 0.
     """
-    n, m = w.n, w.m
     d_delta = Fraction(1)
-    d_sigma = Fraction(step.r1 * (n - step.r1), n - 1) if n >= 2 else Fraction(0)
-    d_tau = Fraction(step.r2 * (m - step.r2), m - 1) if m >= 2 else Fraction(0)
+    d_sigma = Fraction(r1 * (n - r1), n - 1) if n >= 2 else Fraction(0)
+    d_tau = Fraction(r2 * (m - r2), m - 1) if m >= 2 else Fraction(0)
     if n >= 1 and m >= 1:
-        d_mixed = Fraction(step.r1 * (m - step.r2) + step.r2 * (n - step.r1), n * m)
+        d_mixed = Fraction(r1 * (m - r2) + r2 * (n - r1), n * m)
     else:
         d_mixed = Fraction(0)
     return d_delta, d_sigma, d_tau, d_mixed
@@ -317,7 +317,7 @@ def f_values(family: FamilyModel, level: int) -> tuple[Fraction, Fraction, Fract
     f_tau = Fraction(0)
     f_mixed = Fraction(0)
     for step in family.steps[level:]:
-        _, d_sigma, d_tau, d_mixed = _step_drops(w, step)
+        _, d_sigma, d_tau, d_mixed = _step_drops(w.n, w.m, step.r1, step.r2)
         f_sigma += d_sigma
         f_tau += d_tau
         f_mixed += d_mixed
@@ -446,6 +446,14 @@ def _want_int_list(value, path: str) -> list[int]:
     return [_want_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _want_index_list(value, path: str) -> list[int]:
+    indices = _want_int_list(value, path)
+    if len(set(indices)) < len(indices):
+        twice = next(x for pos, x in enumerate(indices) if x in indices[:pos])
+        raise FamilyFormatError(f"{path}: index {twice} listed twice")
+    return indices
+
+
 def family_from_json(text: str) -> FamilyModel:
     """Parse the JSON family file format; errors carry field paths."""
     try:
@@ -479,8 +487,8 @@ def family_from_json(text: str) -> FamilyModel:
             if set(entry) != {"sigma", "tau"}:
                 raise FamilyFormatError(f"{path}: expected keys sigma, tau")
             steps.append(BlowdownStep.concrete(
-                _want_int_list(entry["sigma"], f"{path}.sigma"),
-                _want_int_list(entry["tau"], f"{path}.tau")))
+                _want_index_list(entry["sigma"], f"{path}.sigma"),
+                _want_index_list(entry["tau"], f"{path}.tau")))
         else:
             if set(entry) != {"r1", "r2"}:
                 raise FamilyFormatError(f"{path}: expected keys r1, r2")

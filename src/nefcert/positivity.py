@@ -38,7 +38,7 @@ from .errors import (
     NefcertError,
     NoCaseApplies,
 )
-from .families import CoefficientVector, FamilyModel, f_values
+from .families import CoefficientVector, FamilyModel, _step_drops, f_values
 from .morphisms import pullback_reduction
 from .rational import exact
 
@@ -103,12 +103,12 @@ def _scaled_drop_rows(n: int, m: int, coeffs: CoefficientVector,
                       eps: Mapping[BoundaryKey, Fraction] | None):
     """The drop plus its eps shift, times a common denominator, as integer rows.
 
-    The drop at counts (r1, r2) is
+    The drop at counts (r1, r2) is drop_value's, expanded as
         -a_delta + a_sigma*r1(n-r1)/(n-1) + a_tau*r2(m-r2)/(m-1)
         + a_sigma_tau*(r1(m-r2) + r2(n-r1))/(nm),
-    where terms whose potentials vanish by convention (n <= 1, m <= 1,
-    nm = 0) contribute nothing; eps shifts it by eps[(i, j)] at the counts
-    whose canonical key min((r1, r2), (n-r1, m-r2)) is (i, j). Returns
+    without the terms that families._step_drops sets to 0 (n <= 1, m <= 1,
+    nm = 0); eps shifts it by eps[(i, j)] at the counts whose canonical key
+    min((r1, r2), (n-r1, m-r2)) is (i, j). Returns
     (scale, t, rows) with rows[r1] = (p, q, shift) such that scale times the
     shifted drop is p + r2*(q - t*r2) + shift[r2], all integers.
     """
@@ -137,16 +137,14 @@ def _scaled_drop_rows(n: int, m: int, coeffs: CoefficientVector,
 
 def drop_value(n: int, m: int, k: int, coeffs: CoefficientVector,
                r1: int, r2: int) -> Fraction:
-    """Exact drop of the weighted potential combination at one step.
+    """Exact drop of the weighted potential combination at one step: the
+    combination of the per-step potential drops (families._step_drops).
 
-    Terms whose potentials vanish by convention (n <= 1, m <= 1, nm = 0)
-    contribute nothing. The value does not depend on k; admissibility does.
+    The value does not depend on k; admissibility does.
     """
     if not (0 <= r1 <= n and 0 <= r2 <= m):
         raise ValueError(f"counts ({r1},{r2}) outside the grid 0..{n} x 0..{m}")
-    scale, t, rows = _scaled_drop_rows(n, m, coeffs, None)
-    p, q, _ = rows[r1]
-    return Fraction(p + r2 * (q - t * r2), scale)
+    return coeffs.combine(_step_drops(n, m, r1, r2))
 
 
 def min_drop(n: int, m: int, k: int, coeffs: CoefficientVector,
@@ -217,8 +215,16 @@ class Threshold:
     c: Fraction | None = None
     lo: Fraction | None = None
     hi: Fraction | None = None
-    hi_closed: bool = False
-    equality: bool = False
+
+    @property
+    def equality(self) -> bool:
+        """Case 5, the sharp point, pairs step-free families to exactly zero."""
+        return self.case == 5
+
+    @property
+    def hi_closed(self) -> bool:
+        """Only case 3 certifies its upper end."""
+        return self.case == 3
 
     def describe(self) -> str:
         if self.c is not None:
@@ -242,13 +248,11 @@ def threshold_c(n: int, m: int, k: int) -> Threshold:
         return Threshold(1, c=Fraction(n - 1, 2 * (n - 2)))
     if m == 1:
         if n == k + 1:
-            return Threshold(5, c=Fraction(k + 2, 2 * (k + 1)), equality=True)
+            return Threshold(5, c=Fraction(k + 2, 2 * (k + 1)))
         return Threshold(2, c=Fraction(n + 1, 2 * n))
     if n >= k + 1:
-        return Threshold(4, lo=Fraction(1, 2), hi=Fraction(n + 1, 2 * n),
-                         hi_closed=False)
-    return Threshold(3, lo=Fraction(1, 2), hi=Fraction(k + 2, 2 * (k + 1)),
-                     hi_closed=True)
+        return Threshold(4, lo=Fraction(1, 2), hi=Fraction(n + 1, 2 * n))
+    return Threshold(3, lo=Fraction(1, 2), hi=Fraction(k + 2, 2 * (k + 1)))
 
 
 def ab_substitution(n: int, m: int, k: int, c) -> tuple[Fraction, Fraction]:
@@ -342,11 +346,10 @@ def certify_generic(n: int, m: int, k: int, c, *,
     """
     weights = make_weights(n, m, k)
     c = exact(c)
-    a, b = ab_substitution(n, m, k, c)
     if eps:
         eps = canonical_eps(weights, eps)
-    leg = _leg(weights, c, a, b, eps)
-    best = leg.minimum
+    leg = _leg(weights, c, eps)
+    a, b, best = leg.a, leg.b, leg.minimum
     if best is None:
         return Certificate(
             ZERO_CHARACTERIZED, weights, c, a, b, None, None, (weights,),
@@ -421,9 +424,11 @@ def _key_pair(key) -> tuple[int, int]:
     return (key.i, key.j) if isinstance(key, BoundaryKey) else tuple(key)
 
 
-def _leg(grid: WeightVector, c: Fraction, a: Fraction, b: Fraction,
-         eps: Mapping[BoundaryKey, Fraction] | None) -> TraceEntry:
-    """One leg: the exhaustive minimum drop of the (a, b) combination on grid."""
+def _leg(grid: WeightVector, c: Fraction, eps: Mapping[BoundaryKey, Fraction] | None,
+         c_ab: Fraction | None = None) -> TraceEntry:
+    """One leg: the exhaustive minimum drop on grid of the (a, b) combination
+    that ab_substitution matches to the ray at c_ab (by default c)."""
+    a, b = ab_substitution(grid.n, grid.m, grid.k, c if c_ab is None else c_ab)
     coeffs = CoefficientVector.from_ab(grid.n, grid.m, a, b)
     return TraceEntry(grid, c, a, b, min_drop(grid.n, grid.m, grid.k, coeffs, eps))
 
@@ -435,18 +440,15 @@ def _stratum_leg(n: int, m: int, k: int, c: Fraction | None,
     For k >= 2 it is the base leg at c0 with c0_lower's strict flag; it does
     not depend on the level's c, which callers leave None. At k = 1 it is
     taken at c on the stratum's own grid when m = 0 and otherwise on the
-    regrouped grid (n + m - 1, 1) at c capped at 1 (see _certify); its flag
-    is unused there.
+    regrouped grid (n + m - 1, 1), with (a, b) at c capped at 1 (see
+    _certify) and the uncapped c in the trace; its flag is unused there.
     """
     if k == 1:
         if m == 0:
-            return _leg(make_weights(n, 0, 1), c, c, Fraction(0), eps), True
-        pooled = n + m - 1
-        return _leg(make_weights(pooled, 1, 1), c,
-                    min(c, Fraction(1)) - Fraction(1, pooled), Fraction(1), eps), True
+            return _leg(make_weights(n, 0, 1), c, eps), True
+        return _leg(make_weights(n + m - 1, 1, 1), c, eps, min(c, Fraction(1))), True
     c0, strict = c0_lower(n, m, k)
-    a, b = ab_substitution(n, m, k, c0)
-    return _leg(make_weights(n, m, k), c0, a, b, eps), strict
+    return _leg(make_weights(n, m, k), c0, eps), strict
 
 
 # Eps-free legs are shared by every level, c and weight vector that reaches

@@ -102,6 +102,18 @@ class TestClassCommands:
                                       "--k", "2", "--c", "1/2"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("args,record,spellings", [
+        (["--n", "7", "--m", "0", "--k", "2"], "boundary[3,0] 1\nboundary[4,0] 2\n",
+         "'boundary[3,0]' and 'boundary[4,0]'"),
+        (["--n", "3", "--m", "2", "--k", "2"], "psi_tau[1] 5\npsi_tau[01] 7\n",
+         "'psi_tau[1]' and 'psi_tau[01]'"),
+    ], ids=["boundary", "psi_tau"])
+    def test_two_spellings_of_one_coefficient_exit_one(self, runner, args, record,
+                                                       spellings):
+        result = runner.invoke(main, ["class", "pull-replacement", *args], input=record)
+        assert result.exit_code == 1
+        assert spellings in result.stderr
+
 
 class TestFamilyCommands:
     def test_validate_and_eval(self, runner, tmp_path):
@@ -118,6 +130,14 @@ class TestFamilyCommands:
         result = runner.invoke(main, ["family", "validate", str(path)])
         assert result.exit_code == 1
         assert "steps[0]" in result.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "numbers"])
+    def test_repeated_section_index_exits_one(self, runner, tmp_path, command):
+        path = tmp_path / "twice.json"
+        path.write_text(STABLE.replace('"sigma": [1, 5]', '"sigma": [1, 1, 5]'))
+        result = runner.invoke(main, ["family", command, str(path)])
+        assert result.exit_code == 1
+        assert "steps[0].sigma: index 1 listed twice" in result.stderr
 
     def test_numbers(self, runner, tmp_path):
         path = tmp_path / "stable.json"

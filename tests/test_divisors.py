@@ -131,12 +131,6 @@ class TestAlphaCConvert:
             c = F(rng.randint(1, 400), rng.randint(1, 100))
             assert nc.alpha_to_c(nc.c_to_alpha(c)) == c
 
-    def test_direction_flags(self):
-        assert nc.alpha_c_convert(F(1, 2), "to_c") == F(2, 3)
-        assert nc.alpha_c_convert(F(2, 3), "to_alpha") == F(1, 2)
-        with pytest.raises(ValueError):
-            nc.alpha_c_convert(F(1, 2), "sideways")
-
     def test_parameter_range_maps_onto_ray_range(self):
         # alpha in (2/(k+2), 2/(k+1)] maps exactly onto c in ((k+2)/(2k+2), (k+1)/(2k)]
         for k in range(1, 51):
@@ -214,6 +208,15 @@ class TestRecordFormat:
             nc.class_from_record("boundary[2,0] 1\n", w)  # inadmissible
         with pytest.raises(RecordFormatError):
             nc.class_from_record("delta 0.5\n", w)  # floats rejected
+
+    @pytest.mark.parametrize("weights,text,first,second", [
+        ((7, 0, 2), "boundary[3,0] 1\nboundary[4,0] 2\n", "boundary[3,0]", "boundary[4,0]"),
+        ((3, 2, 2), "psi_tau[1] 5\npsi_tau[01] 7\n", "psi_tau[1]", "psi_tau[01]"),
+    ], ids=["boundary", "psi_tau"])
+    def test_rejects_two_spellings_of_one_coefficient(self, weights, text, first, second):
+        with pytest.raises(RecordFormatError) as excinfo:
+            nc.class_from_record(text, nc.make_weights(*weights))
+        assert f"{first!r} and {second!r}" in str(excinfo.value)
 
     def test_serialized_rationals_are_reduced(self):
         w = nc.make_weights(5, 0, 2)

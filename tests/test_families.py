@@ -399,6 +399,12 @@ class TestFamilyFiles:
          '"final_e_sigma": []}', "final_e_sigma"),
         ('{"n": 5, "m": 0, "k": 2, "mode": "abstract", "steps": [], "zz": 1}',
          "unknown field"),
+        ('{"n": 5, "m": 0, "k": 1, "mode": "concrete", "steps": '
+         '[{"sigma": [1, 1, 5], "tau": []}], "final_e_sigma": [0,0,0,0,2], '
+         '"final_e_tau": []}', "steps[0].sigma: index 1 listed twice"),
+        ('{"n": 3, "m": 2, "k": 1, "mode": "concrete", "steps": '
+         '[{"sigma": [1], "tau": [2, 2]}], "final_e_sigma": [0,0,0], '
+         '"final_e_tau": [0,0]}', "steps[0].tau: index 2 listed twice"),
     ])
     def test_error_paths(self, text, fragment):
         with pytest.raises(FamilyFormatError) as excinfo:

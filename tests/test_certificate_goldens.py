@@ -7,8 +7,10 @@ command table that alters any output fails here. The `certify --json`
 cases cover every role (lower endpoint, interior, upper endpoint, eps
 perturbation, --generic-only) with k from 1 to 5, plus long transport
 chains up to k = 60. The other cases are the README's commands, with the
-family commands run on test_cli.STABLE written to stable.json in a
-temporary directory.
+family commands run in a temporary directory on test_cli.STABLE written to
+stable.json and on the files in tests/families: chain.json, a 40-step
+concrete chain on (7,2,3) whose F_tau and F_sigma_tau are non-zero, and
+abstract.json, a 12-step abstract chain on (8,2,3).
 
 `certify --json` omits the trace, so API_CASES store a SHA-256 of the
 repr of the full Certificate, trace included, under "api ..." keys.
@@ -30,6 +32,7 @@ from nefcert.cli import main
 from test_cli import STABLE
 
 GOLDENS = Path(__file__).with_name("certificate_goldens.json")
+FAMILY_DIR = Path(__file__).with_name("families")
 
 
 def _certify(n, m, k, c, *extra):
@@ -82,6 +85,12 @@ CASES = [
     _readme("family", "numbers", "stable.json"),
     _readme("family", "fvalues", "stable.json"),
     _readme("family", "gseries", "stable.json", "--a", "3/4", "--b", "0"),
+    _readme("family", "numbers", "chain.json"),
+    _readme("family", "fvalues", "chain.json"),
+    _readme("family", "gseries", "chain.json", "--a", "3/5", "--b", "1/2"),
+    _readme("family", "numbers", "abstract.json"),
+    _readme("family", "fvalues", "abstract.json"),
+    _readme("family", "gseries", "abstract.json", "--a", "2/3", "--b", "1/3"),
     _readme("thresholds", "--k", "2", "--nmax", "7", "--mmax", "1"),
     _readme("fixtures"),
 ]
@@ -113,6 +122,9 @@ def _run(argv, stdin) -> dict:
     runner = CliRunner()
     with runner.isolated_filesystem():
         Path("stable.json").write_text(STABLE, encoding="utf-8")
+        for source in FAMILY_DIR.glob("*.json"):
+            Path(source.name).write_text(source.read_text(encoding="utf-8"),
+                                         encoding="utf-8")
         # a fixed width keeps --help independent of the terminal
         result = runner.invoke(main, argv, input=stdin, terminal_width=80,
                                catch_exceptions=False)

@@ -59,10 +59,7 @@ def _read_text(path: str, flag: str) -> str:
 
 
 def _weights(n: str, m: str, k: str):
-    try:
-        return make_weights(_int(n, "--n"), _int(m, "--m"), _int(k, "--k"))
-    except NefcertError as err:
-        _fail(str(err))
+    return make_weights(_int(n, "--n"), _int(m, "--m"), _int(k, "--k"))
 
 
 def _class_json(cls) -> str:
@@ -88,7 +85,17 @@ def _emit_class(cls, as_json: bool) -> None:
         click.echo(class_to_record(cls), nl=False)
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a NefcertError raised by any command as `error: ...`, exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NefcertError as err:
+            _fail(str(err))
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact divisor-class calculus and positivity certificates."""
 
@@ -130,10 +137,7 @@ def class_dk(n, m, k, c_text, as_json) -> None:
 def class_logcanonical(n, alpha_text, as_json) -> None:
     """psi + (alpha-2)*delta on the unweighted space, with its normalization."""
     alpha = _rat(alpha_text, "--alpha")
-    try:
-        form = log_canonical_class(_int(n, "--n"), alpha)
-    except NefcertError as err:
-        _fail(str(err))
+    form = log_canonical_class(_int(n, "--n"), alpha)
     if as_json:
         payload = {
             "raw": json.loads(_class_json(form.raw)),
@@ -168,16 +172,13 @@ def _transport_command(name, doc, apply, input_space, comment):
         target = _weights(n, m, k)
         if use_dk and c_text is None:
             _fail(f"{name}: --dk needs --c")
-        try:
-            ambient = input_space(target) if input_space else target
-            if use_dk:
-                cls = dk_class(ambient, _rat(c_text, "--c"))
-            else:
-                text = sys.stdin.read() if in_path is None else _read_text(in_path, "--in")
-                cls = class_from_record(text, ambient)
-            result = apply(cls, target)
-        except NefcertError as err:
-            _fail(str(err))
+        ambient = input_space(target) if input_space else target
+        if use_dk:
+            cls = dk_class(ambient, _rat(c_text, "--c"))
+        else:
+            text = sys.stdin.read() if in_path is None else _read_text(in_path, "--in")
+            cls = class_from_record(text, ambient)
+        result = apply(cls, target)
         line = comment(target, result) if comment else None
         if line and not as_json:
             click.echo(line)
@@ -238,30 +239,22 @@ def family_eval(path, class_path, use_dk, c_text) -> None:
     """Pair a divisor class with the family."""
     family = _load_family(path)
     weights = family.weights
-    try:
-        if use_dk:
-            if c_text is None:
-                _fail("eval: --dk needs --c")
-            cls = dk_class(weights, _rat(c_text, "--c"))
-        elif class_path is not None:
-            cls = class_from_record(_read_text(class_path, "--class-file"), weights)
-        else:
-            _fail("eval: need --dk --c or --class-file")
-        value = fam.evaluate_class(cls, family)
-    except NefcertError as err:
-        _fail(str(err))
-    click.echo(format_rational(value))
+    if use_dk:
+        if c_text is None:
+            _fail("eval: --dk needs --c")
+        cls = dk_class(weights, _rat(c_text, "--c"))
+    elif class_path is not None:
+        cls = class_from_record(_read_text(class_path, "--class-file"), weights)
+    else:
+        _fail("eval: need --dk --c or --class-file")
+    click.echo(format_rational(fam.evaluate_class(cls, family)))
 
 
 @family_group.command("numbers")
 @click.argument("path", type=click.Path())
 def family_numbers(path) -> None:
     """Intersection numbers of the family with the basis classes."""
-    family = _load_family(path)
-    try:
-        report = fam.intersection_numbers(family)
-    except NefcertError as err:
-        _fail(str(err))
+    report = fam.intersection_numbers(_load_family(path))
     click.echo(f"psi_sigma\t{format_rational(report.psi_sigma_B)}")
     click.echo(f"psi_tau\t{format_rational(report.psi_tau_B)}")
     click.echo(f"delta_s\t{format_rational(report.delta_s_B)}")
@@ -274,10 +267,9 @@ def family_numbers(path) -> None:
 @click.argument("path", type=click.Path())
 def family_fvalues(path) -> None:
     """Per-level potentials: i, F_delta, F_sigma, F_tau, F_sigma_tau."""
-    family = _load_family(path)
+    series = fam._f_series(_load_family(path))
     click.echo("# i\tF_delta\tF_sigma\tF_tau\tF_sigma_tau")
-    for level in range(family.n_steps + 1):
-        values = fam.f_values(family, level)
+    for level, values in enumerate(series):
         click.echo(str(level) + "\t" + "\t".join(format_rational(v) for v in values))
 
 
@@ -290,11 +282,8 @@ def family_gseries(path, a_text, b_text) -> None:
     family = _load_family(path)
     a = _rat(a_text, "--a")
     b = _rat(b_text, "--b")
-    try:
-        coeffs = pos.CoefficientVector.from_ab(family.weights.n, family.weights.m, a, b)
-        series = pos.g_series(family, coeffs)
-    except NefcertError as err:
-        _fail(str(err))
+    coeffs = pos.CoefficientVector.from_ab(family.weights.n, family.weights.m, a, b)
+    series = pos.g_series(family, coeffs)
     click.echo("# i\tG")
     for level, value in enumerate(series):
         click.echo(f"{level}\t{format_rational(value)}")
@@ -370,9 +359,6 @@ def certify(ctx, n, m, k, c_text, eps_entries, generic_only, as_json) -> None:
         eps[key] = _rat(tail, "--eps")
     try:
         eps = pos.canonical_eps(weights, eps)
-    except NefcertError as err:
-        _fail(f"--eps: {err}")
-    try:
         if generic_only:
             cert = pos.certify_generic(weights.n, weights.m, weights.k, c, eps=eps)
         elif eps:
@@ -381,8 +367,6 @@ def certify(ctx, n, m, k, c_text, eps_entries, generic_only, as_json) -> None:
             cert = pos.certify_interval(weights.n, weights.m, weights.k, c)
     except InvalidBoundaryKey as err:
         _fail(f"--eps: {err}")
-    except NefcertError as err:
-        _fail(str(err))
     _emit_certificate(cert, as_json)
     if cert.verdict != pos.STRICTLY_POSITIVE:
         ctx.exit(2)
@@ -399,10 +383,7 @@ def thresholds(k_text, nmax_text, mmax_text) -> None:
     k = _int(k_text, "--k")
     nmax = _int(nmax_text, "--nmax")
     mmax = _int(mmax_text, "--mmax")
-    try:
-        lo, hi = pos.ample_interval(k)
-    except NefcertError as err:
-        _fail(str(err))
+    lo, hi = pos.ample_interval(k)
     hi_text = format_rational(hi) if hi is not None else "unbounded"
     click.echo(f"# ample_interval\t({format_rational(lo)}, {hi_text}" +
                ("]" if hi is not None else ")"))

@@ -12,9 +12,11 @@ of the fiber class, so pairwise products are forced to (e_j + e_l)/2 by the
 self-intersections; those must share one parity for the products to be
 integers.
 
-Abstract families keep only the per-step section counts (r1, r2), enough
-for the telescoped potentials; concrete families carry the index sets and
-terminal data and support exact evaluation of divisor classes.
+Concrete families carry each step's section sets, whose sizes are the step
+counts (r1, r2), and the terminal data; abstract families keep only the
+counts. One walk from the terminal surface down to level 0 updates a single
+level matrix in place and telescopes the potentials; level_matrix, f_values
+and g_series all read from it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .divisors import (
@@ -47,26 +51,39 @@ ABSTRACT = "abstract"
 
 @dataclass(frozen=True)
 class BlowdownStep:
-    """One blow-down: the contracted curve meets r1 light and r2 heavy sections."""
+    """One blow-down: the contracted curve meets r1 light and r2 heavy sections.
 
-    r1: int
-    r2: int
+    A concrete step holds the sets sigma and tau of those sections, whose
+    sizes are r1 and r2; an abstract step holds only the counts.
+    """
+
     sigma: frozenset[int] | None = None
     tau: frozenset[int] | None = None
+    _counts: tuple[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        if (self._counts is None) != self.is_concrete:
+            raise ValueError("a step holds either both section sets or only its counts")
 
     @classmethod
     def concrete(cls, sigma: Iterable[int], tau: Iterable[int] = ()) -> "BlowdownStep":
-        sigma_set = frozenset(int(x) for x in sigma)
-        tau_set = frozenset(int(x) for x in tau)
-        return cls(len(sigma_set), len(tau_set), sigma_set, tau_set)
+        return cls(frozenset(int(x) for x in sigma), frozenset(int(x) for x in tau))
 
     @classmethod
     def abstract(cls, r1: int, r2: int) -> "BlowdownStep":
-        return cls(int(r1), int(r2))
+        return cls(_counts=(int(r1), int(r2)))
 
     @property
     def is_concrete(self) -> bool:
         return self.sigma is not None and self.tau is not None
+
+    @property
+    def r1(self) -> int:
+        return len(self.sigma) if self._counts is None else self._counts[0]
+
+    @property
+    def r2(self) -> int:
+        return len(self.tau) if self._counts is None else self._counts[1]
 
 
 @dataclass(frozen=True)
@@ -144,14 +161,6 @@ def validate_family(family: FamilyModel) -> list[str]:
                     violations.append(f"{path}.sigma: indices outside 1..{w.n}")
                 if step.tau and not set(step.tau) <= set(range(1, w.m + 1)):
                     violations.append(f"{path}.tau: indices outside 1..{w.m}")
-                if step.r1 != len(step.sigma):
-                    violations.append(
-                        f"{path}.r1: stored count {step.r1} differs from "
-                        f"len(sigma) = {len(step.sigma)}")
-                if step.r2 != len(step.tau):
-                    violations.append(
-                        f"{path}.r2: stored count {step.r2} differs from "
-                        f"len(tau) = {len(step.tau)}")
         elif step.is_concrete:
             violations.append(f"{path}: abstract family carries section sets")
 
@@ -181,8 +190,6 @@ def validate_family(family: FamilyModel) -> list[str]:
                 offset = pos if pos < w.n else pos - w.n
                 violations.append(
                     f"{field}[{offset}]: parity differs from the other self-intersections")
-        if any(e % 2 != parity for e in all_e):
-            return violations
 
     if violations:
         return violations
@@ -207,34 +214,75 @@ def validate_family(family: FamilyModel) -> list[str]:
     return violations
 
 
+def _sweep(family: FamilyModel, lowest: int = 0, potentials: bool = True):
+    """Walk the chain once, from level N down to `lowest`, yielding (level,
+    matrix, values) at every level: the level matrix (None on abstract
+    families; one list, updated in place as level_matrix describes) and the
+    telescoped potentials, which start at 0 and add each crossed step's
+    _step_drops (None without potentials).
+    """
+    n_steps = family.n_steps
+    if not 0 <= lowest <= n_steps:
+        raise ValueError(f"level must lie in 0..{n_steps}, got {lowest}")
+    w = family.weights
+    matrix = None
+    if family.mode == CONCRETE:
+        e = list(family.final_e_sigma) + list(family.final_e_tau)
+        if len({v % 2 for v in e}) > 1:
+            raise ValueError("terminal self-intersections have mixed parities")
+        matrix = [[(ex + ey) // 2 for ey in e] for ex in e]
+    values = (Fraction(0),) * 4 if potentials else None
+    yield n_steps, matrix, values
+    for level in range(n_steps - 1, lowest - 1, -1):
+        step = family.steps[level]
+        if matrix is not None:
+            members = {s - 1 for s in step.sigma} | {w.n + t - 1 for t in step.tau}
+            for x in members:
+                row = matrix[x]
+                for y in members:
+                    row[y] -= 1
+        if potentials:
+            values = tuple(map(add, values, _step_drops(w.n, w.m, step.r1, step.r2)))
+        yield level, matrix, values
+
+
+def _checked(family: FamilyModel, level: int, matrix: list[list[int]] | None,
+             values: tuple[Fraction, Fraction, Fraction, Fraction]):
+    """values, after checking on concrete families that the level matrix gives
+    them as weighted sums of squared section differences."""
+    if matrix is None:
+        return values
+    n, m = family.weights.n, family.weights.m
+
+    def potential(pairs, scale: int) -> Fraction:
+        total = sum(matrix[x][x] + matrix[y][y] - 2 * matrix[x][y] for x, y in pairs)
+        return -Fraction(total, scale) if scale > 0 else Fraction(0)
+
+    light, heavy = range(n), range(n, n + m)
+    found = (potential(combinations(light, 2), n - 1),
+             potential(combinations(heavy, 2), m - 1),
+             potential(product(light, heavy), n * m))
+    if found != values[1:]:
+        raise ConcreteAbstractMismatch(
+            f"level {level}: matrix potentials {found} "
+            f"differ from telescoped {values[1:]}")
+    return values
+
+
 def level_matrix(family: FamilyModel, level: int) -> list[list[int]]:
     """Symmetric intersection matrix of the section images on the level surface.
 
     Combined indexing: sigma sections first (0..n-1), tau sections after
     (n..n+m-1). Entry (x, y) is the pairwise product, diagonal entries the
-    self-intersections. Starting from the terminal surface, each step below
-    the requested level subtracts 1 from every entry whose two indices both
-    meet the contracted curve (diagonal included).
+    self-intersections. The downward sweep stops at the level, computing no
+    potentials: from the terminal surface, each step crossed subtracts 1 from
+    every entry whose two indices both meet the contracted curve (diagonal
+    included).
     """
     if family.mode != CONCRETE:
         raise ConcreteOnly("level matrices need terminal-surface data")
-    n_steps = family.n_steps
-    if not 0 <= level <= n_steps:
-        raise ValueError(f"level must lie in 0..{n_steps}, got {level}")
-    w = family.weights
-    e = list(family.final_e_sigma) + list(family.final_e_tau)
-    size = w.n + w.m
-    parity = {v % 2 for v in e}
-    if len(parity) > 1:
-        raise ValueError("terminal self-intersections have mixed parities")
-    matrix = [[(e[x] + e[y]) // 2 for y in range(size)] for x in range(size)]
-    for x in range(size):
-        matrix[x][x] = e[x]
-    for step in family.steps[level:]:
-        members = sorted({s - 1 for s in step.sigma} | {w.n + t - 1 for t in step.tau})
-        for x in members:
-            for y in members:
-                matrix[x][y] -= 1
+    for _, matrix, _ in _sweep(family, level, potentials=False):
+        pass
     return matrix
 
 
@@ -303,49 +351,20 @@ def _step_drops(n: int, m: int, r1: int, r2: int) -> tuple[Fraction, Fraction, F
 def f_values(family: FamilyModel, level: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(F_delta, F_sigma, F_tau, F_sigma_tau) at the given level.
 
-    The values telescope the per-step drops from the terminal surface, where
-    all four potentials vanish. On concrete families the same quantities are
-    recomputed from the level matrix as weighted sums of squared section
-    differences and must agree exactly.
+    The downward sweep stops at the level, telescoping the per-step drops
+    from the terminal surface, where all four potentials vanish. On concrete
+    families this level's matrix (only) recomputes them as weighted sums of
+    squared section differences, and the two must agree exactly.
     """
-    w = family.weights
-    n_steps = family.n_steps
-    if not 0 <= level <= n_steps:
-        raise ValueError(f"level must lie in 0..{n_steps}, got {level}")
-    f_delta = Fraction(n_steps - level)
-    f_sigma = Fraction(0)
-    f_tau = Fraction(0)
-    f_mixed = Fraction(0)
-    for step in family.steps[level:]:
-        _, d_sigma, d_tau, d_mixed = _step_drops(w.n, w.m, step.r1, step.r2)
-        f_sigma += d_sigma
-        f_tau += d_tau
-        f_mixed += d_mixed
+    for _, matrix, values in _sweep(family, level):
+        pass
+    return _checked(family, level, matrix, values)
 
-    if family.mode == CONCRETE:
-        matrix = level_matrix(family, level)
-        n, m = w.n, w.m
 
-        def square(x: int, y: int) -> int:
-            return matrix[x][x] + matrix[y][y] - 2 * matrix[x][y]
-
-        g_sigma = Fraction(0)
-        if n >= 2:
-            g_sigma = -Fraction(
-                sum(square(a, b) for a in range(n) for b in range(a + 1, n)), n - 1)
-        g_tau = Fraction(0)
-        if m >= 2:
-            g_tau = -Fraction(
-                sum(square(n + a, n + b) for a in range(m) for b in range(a + 1, m)), m - 1)
-        g_mixed = Fraction(0)
-        if n >= 1 and m >= 1:
-            g_mixed = -Fraction(
-                sum(square(a, n + b) for a in range(n) for b in range(m)), n * m)
-        if (g_sigma, g_tau, g_mixed) != (f_sigma, f_tau, f_mixed):
-            raise ConcreteAbstractMismatch(
-                f"level {level}: matrix potentials {(g_sigma, g_tau, g_mixed)} "
-                f"differ from telescoped {(f_sigma, f_tau, f_mixed)}")
-    return f_delta, f_sigma, f_tau, f_mixed
+def _f_series(family: FamilyModel) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """f_values at every level 0..N from one sweep, each level checked."""
+    return [_checked(family, level, matrix, values)
+            for level, matrix, values in _sweep(family)][::-1]
 
 
 def evaluate_class(cls: DivisorClass, family: FamilyModel) -> Fraction:

@@ -38,7 +38,7 @@ from .errors import (
     NefcertError,
     NoCaseApplies,
 )
-from .families import CoefficientVector, FamilyModel, _step_drops, f_values
+from .families import CoefficientVector, FamilyModel, _f_series, _step_drops
 from .morphisms import pullback_reduction
 from .rational import exact
 
@@ -71,8 +71,8 @@ class TraceEntry:
 class Certificate:
     """Outcome of a universal positivity check.
 
-    A strictly_positive verdict means every drop evaluated anywhere in the
-    recursion is positive; margin is the smallest such drop, hence the
+    A strictly_positive verdict means every drop evaluated at any weight
+    level of the chain is positive; margin is the smallest such drop, hence the
     largest uniform boundary perturbation that provably keeps all drops
     positive. Step-free configurations pair every ruled-surface family to
     exactly 0, so strictness always refers to families with at least one
@@ -171,13 +171,13 @@ def min_drop(n: int, m: int, k: int, coeffs: CoefficientVector,
 
 
 def g_series(family: FamilyModel, coeffs: CoefficientVector) -> list[Fraction]:
-    """The combination of the four potentials at every level, 0..N.
+    """The combination of the four potentials at every level, 0..N, all from
+    one downward sweep that checks each level as f_values does.
 
     The last entry is always 0 and consecutive differences are the per-step
     drop values.
     """
-    return [coeffs.combine(f_values(family, level))
-            for level in range(family.n_steps + 1)]
+    return [coeffs.combine(values) for values in _f_series(family)]
 
 
 def positivity_case(n: int, m: int, k: int, a, b) -> tuple[int, bool]:

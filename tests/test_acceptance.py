@@ -4,7 +4,10 @@ exact equality, and prints one pass line when it holds."""
 import itertools
 from fractions import Fraction as F
 
+import pytest
+
 import nefcert as nc
+from nefcert.errors import COutOfInterval
 from nefcert.positivity import STRICTLY_POSITIVE, ZERO_CHARACTERIZED
 from helpers import random_family_batch
 
@@ -209,3 +212,43 @@ def test_criterion_9_brute_force_oracle():
             assert sequences == 1  # only the empty sequence
     print("PASS criterion 9: sequence sums equal per-step drops and respect "
           "the issued certificates on all four reference spaces")
+
+
+def test_criterion_10_log_canonical_models():
+    # K + alpha*delta on M_0,n, normalized as c = 1/(2 - alpha): alpha in
+    # [2/(k+2), 2/(k+1)] is the certified interval of the weights 1/k. n starts
+    # at 5 because on (4,0,1) the class pairs to exactly 0 at c = 3/4.
+    certificates = 0
+    for n in range(5, 25):
+        for k in range(1, (n + 1) // 2):
+            lo, hi = nc.ample_interval(k)
+            alpha_lo, alpha_hi = F(2, k + 2), F(2, k + 1)
+            if k == 1:
+                # the k = 1 interval is (2/3, unbounded); the alpha range maps into it
+                points = [nc.alpha_to_c(alpha_lo), nc.alpha_to_c(alpha_hi), F(2)]
+                assert points[:2] == [F(3, 4), F(1)]
+            else:
+                assert (nc.alpha_to_c(alpha_lo), nc.alpha_to_c(alpha_hi)) == (lo, hi)
+                points = [hi] + [lo + (hi - lo) * F(i, 4) for i in (1, 2, 3)]
+            for c in points:
+                cert = nc.certify_interval(n, 0, k, c)
+                assert cert.verdict == STRICTLY_POSITIVE, (n, k, c)
+            certificates += len(points)
+            if k >= 2:
+                cert = nc.certify_interval(n, 0, k, lo)
+                zero = {(w.n, w.m, w.k) for w in cert.zero_strata}
+                if (n, k) == (5, 2):
+                    assert cert.verdict == ZERO_CHARACTERIZED and zero == {(5, 0, 2)}
+                elif n == 2 * k + 1:
+                    assert cert.verdict == STRICTLY_POSITIVE and not zero, (n, k)
+                else:
+                    assert cert.verdict == ZERO_CHARACTERIZED, (n, k)
+                    assert zero == {(k + 1, 1, k)}, (n, k, zero)
+                certificates += 1
+                with pytest.raises(COutOfInterval):
+                    nc.certify_interval(n, 0, k, hi + F(1, 1000))
+            with pytest.raises(COutOfInterval):
+                nc.certify_interval(n, 0, k, lo - F(1, 1000))
+    assert certificates == 610
+    print("PASS criterion 10: K + alpha*delta certified on M_0,n for n = 5..24 at "
+          "every weight 1/k, sharp at alpha = 2/(k+2)")

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
 
 import nefcert as nc
+from nefcert import families
+from nefcert.cli import main
 from nefcert.errors import (
     AmbientMismatch,
+    ConcreteAbstractMismatch,
     ConcreteOnly,
     FamilyFormatError,
     InvalidCoefficients,
@@ -13,6 +17,7 @@ from nefcert.errors import (
     UnequalTauCoefficients,
 )
 from helpers import random_concrete_family_on, random_family_batch
+from test_cli import STABLE
 
 
 def diagonal_family():
@@ -22,6 +27,41 @@ def diagonal_family():
 def stable_model():
     steps = tuple(nc.BlowdownStep.concrete({i, 5}) for i in range(1, 5))
     return nc.FamilyModel.concrete(nc.make_weights(5, 0, 1), steps, (0, 0, 0, 0, 2))
+
+
+def long_chain():
+    """A valid concrete chain of at least 100 steps on (8,1,2)."""
+    rng = random.Random(100)
+    while True:
+        fam = random_concrete_family_on(rng, nc.make_weights(8, 1, 2), max_steps=160,
+                                        attempts=1)
+        if fam is not None and fam.n_steps >= 100:
+            return fam
+
+
+def sweep_cases():
+    """Random concrete families, their abstractions, and one long chain."""
+    concrete = random_family_batch(8080, 60)
+    abstract = [nc.FamilyModel.abstract(f.weights, [(s.r1, s.r2) for s in f.steps])
+                for f in concrete]
+    return concrete + abstract + [long_chain()]
+
+
+class TestBlowdownStep:
+    def test_concrete_counts_are_the_set_sizes(self):
+        step = nc.BlowdownStep.concrete([3, 1, 2], [2])
+        assert (step.r1, step.r2) == (3, 1)
+        assert step == nc.BlowdownStep(frozenset({1, 2, 3}), frozenset({2}))
+        counted = nc.BlowdownStep.abstract(3, 1)
+        assert (counted.r1, counted.r2) == (3, 1) and counted != step
+
+    def test_sets_and_counts_do_not_mix(self):
+        with pytest.raises(ValueError):
+            nc.BlowdownStep(frozenset({1, 2}), frozenset(), (3, 0))
+        with pytest.raises(ValueError):
+            nc.BlowdownStep(frozenset({1, 2}))
+        with pytest.raises(ValueError):
+            nc.BlowdownStep()
 
 
 class TestValidate:
@@ -56,21 +96,6 @@ class TestValidate:
     def test_out_of_range_counts(self):
         fam = nc.FamilyModel.abstract(nc.make_weights(5, 0, 2), [(6, 0)])
         assert any("out of range" in v for v in nc.validate_family(fam))
-
-    def test_stored_counts_must_match_the_sets(self):
-        weights = nc.make_weights(7, 0, 2)
-        step = nc.BlowdownStep(3, 0, frozenset({1, 2}), frozenset())
-        fam = nc.FamilyModel.concrete(weights, (step,), (2,) * 7)
-        assert nc.validate_family(fam) == [
-            "steps[0].r1: stored count 3 differs from len(sigma) = 2"]
-        step = nc.BlowdownStep(1, 1, frozenset({1, 2}), frozenset({1}))
-        fam = nc.FamilyModel.concrete(nc.make_weights(3, 1, 2), (step,), (0,) * 3, (0,))
-        assert [v for v in nc.validate_family(fam) if ".r" in v] == [
-            "steps[0].r1: stored count 1 differs from len(sigma) = 2"]
-        step = nc.BlowdownStep(2, 0, frozenset({1, 2}), frozenset({1}))
-        fam = nc.FamilyModel.concrete(nc.make_weights(3, 1, 2), (step,), (0,) * 3, (0,))
-        assert [v for v in nc.validate_family(fam) if ".r" in v] == [
-            "steps[0].r2: stored count 0 differs from len(tau) = 1"]
 
     def test_good_families(self):
         assert nc.validate_family(diagonal_family()) == []
@@ -163,6 +188,51 @@ class TestFValues:
         assert nc.f_values(fam, 0) == (0, 0, 0, 0)
         # no heavy sections: tau and mixed potentials vanish
         assert nc.f_values(diagonal_family(), 0)[2:] == (0, 0)
+
+
+class TestSweep:
+    def test_g_series_combines_f_values_at_every_level(self):
+        for fam in sweep_cases():
+            w = fam.weights
+            coeffs = nc.CoefficientVector.from_ab(w.n, w.m, F(3, 5), F(1, 3) if w.m else 0)
+            assert nc.g_series(fam, coeffs) == [
+                coeffs.combine(nc.f_values(fam, level)) for level in range(fam.n_steps + 1)]
+
+    def test_level_matrix_matches_a_replay_at_every_level(self):
+        for fam in sweep_cases():
+            if fam.mode != "concrete":
+                continue
+            n, size = fam.weights.n, fam.weights.n + fam.weights.m
+            e = list(fam.final_e_sigma) + list(fam.final_e_tau)
+            sections = [{s - 1 for s in step.sigma} | {n + t - 1 for t in step.tau}
+                        for step in fam.steps]
+            for level in range(fam.n_steps + 1):
+                expected = [[(e[x] if x == y else (e[x] + e[y]) // 2)
+                             - sum(1 for meets in sections[level:] if x in meets and y in meets)
+                             for y in range(size)] for x in range(size)]
+                assert nc.level_matrix(fam, level) == expected
+
+    def test_cross_check_names_the_level_that_fails(self, monkeypatch, tmp_path):
+        drops = families._step_drops
+
+        def off_by_one(n, m, r1, r2):
+            d_delta, d_sigma, d_tau, d_mixed = drops(n, m, r1, r2)
+            return d_delta, d_sigma + 1, d_tau, d_mixed
+
+        monkeypatch.setattr(families, "_step_drops", off_by_one)
+        fam = stable_model()
+        with pytest.raises(ConcreteAbstractMismatch, match="^level 0: "):
+            nc.f_values(fam, 0)
+        with pytest.raises(ConcreteAbstractMismatch, match="^level 2: "):
+            nc.f_values(fam, 2)
+        coeffs = nc.CoefficientVector.from_ab(5, 0, F(3, 4), 0)
+        with pytest.raises(ConcreteAbstractMismatch, match="^level 3: "):
+            nc.g_series(fam, coeffs)
+        path = tmp_path / "stable.json"
+        path.write_text(STABLE)
+        result = CliRunner().invoke(main, ["family", "fvalues", str(path)])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert result.stderr.startswith("error: level 3: matrix potentials")
 
 
 class TestEvaluate:

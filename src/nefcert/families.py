@@ -231,11 +231,16 @@ def _sweep(family: FamilyModel, lowest: int = 0, potentials: bool = True):
         if len({v % 2 for v in e}) > 1:
             raise ValueError("terminal self-intersections have mixed parities")
         matrix = [[(ex + ey) // 2 for ey in e] for ex in e]
+        light, heavy = set(range(1, w.n + 1)), set(range(1, w.m + 1))
     values = (Fraction(0),) * 4 if potentials else None
     yield n_steps, matrix, values
     for level in range(n_steps - 1, lowest - 1, -1):
         step = family.steps[level]
         if matrix is not None:
+            if not (step.sigma <= light and step.tau <= heavy):
+                name, outside, size = (("sigma", step.sigma - light, w.n) if step.sigma - light
+                                       else ("tau", step.tau - heavy, w.m))
+                raise ValueError(f"steps[{level}].{name}: index {min(outside)} outside 1..{size}")
             members = {s - 1 for s in step.sigma} | {w.n + t - 1 for t in step.tau}
             for x in members:
                 row = matrix[x]
@@ -316,11 +321,11 @@ class CoefficientVector:
     def from_ab(cls, n: int, m: int, a, b) -> "CoefficientVector":
         """The (a, b) parameterization: a_sigma = a, a_sigma_tau = b,
         a_tau = (m-b)/m (zero when m <= 1), a_delta = 1."""
-        a = exact(a)
-        b = exact(b)
+        a, b = exact(a), exact(b)
         if m == 0 and b != 0:
             raise InvalidCoefficients("b must be 0 when there are no weight-one sections")
-        a_tau = Fraction(0) if m <= 1 else (m - b) / Fraction(m)
+        a_tau = (Fraction(0) if m <= 1  # (m - b)/m in integers
+                 else Fraction(m * b.denominator - b.numerator, m * b.denominator))
         return cls(a, a_tau, b, Fraction(1))
 
     def combine(self, potentials: tuple[Fraction, Fraction, Fraction, Fraction]) -> Fraction:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import lcm
 from typing import Mapping
 
@@ -158,6 +158,10 @@ def min_drop(n: int, m: int, k: int, coeffs: CoefficientVector,
     ruled-surface family).
     """
     make_weights(n, m, k)
+    return _min_drop(n, m, k, coeffs, eps)
+
+
+def _min_drop(n: int, m: int, k: int, coeffs: CoefficientVector, eps) -> DropEvaluation | None:
     scale, t, rows = _scaled_drop_rows(n, m, coeffs, eps)
     best = best_r1 = best_r2 = None
     for r1, (p, q, shift) in enumerate(rows):
@@ -188,8 +192,7 @@ def positivity_case(n: int, m: int, k: int, a, b) -> tuple[int, bool]:
     degenerate n <= 1 with m >= 2 support no strict hypothesis.
     """
     make_weights(n, m, k)
-    a = exact(a)
-    b = exact(b)
+    a, b = exact(a), exact(b)
     if m == 0:
         return 1, a > Fraction(n - 1, (n - k - 1) * (k + 1))
     if m == 1:
@@ -242,6 +245,10 @@ def threshold_c(n: int, m: int, k: int) -> Threshold:
     sigma potentials vanish by convention and the same substitution applies.
     """
     make_weights(n, m, k)
+    return _threshold_c(n, m, k)
+
+
+def _threshold_c(n: int, m: int, k: int) -> Threshold:
     if k < 2:
         raise InvalidWeights("thresholds are stated for k >= 2")
     if m == 0:
@@ -267,7 +274,9 @@ def ab_substitution(n: int, m: int, k: int, c) -> tuple[Fraction, Fraction]:
         return c, Fraction(0)
     if m == 1:
         return c - Fraction(1, n), Fraction(1)
-    return (n - 1) * (c - Fraction(1, 2)), n * (Fraction(n - 1, 2) - (n - 2) * c)
+    p, q = c.numerator, c.denominator  # in integers: one normalization each
+    return (Fraction((n - 1) * (2 * p - q), 2 * q),
+            Fraction(n * ((n - 1) * q - 2 * (n - 2) * p), 2 * q))
 
 
 def c0_lower(n: int, m: int, k: int) -> tuple[Fraction, bool]:
@@ -279,7 +288,12 @@ def c0_lower(n: int, m: int, k: int) -> tuple[Fraction, bool]:
     case-1 threshold meets the cap and step-free families genuinely pair
     to zero there.
     """
-    threshold = threshold_c(n, m, k)
+    make_weights(n, m, k)
+    return _c0_lower(n, m, k)
+
+
+def _c0_lower(n: int, m: int, k: int) -> tuple[Fraction, bool]:
+    threshold = _threshold_c(n, m, k)
     if threshold.c is not None:
         c0 = threshold.c
     else:
@@ -300,32 +314,18 @@ def ample_interval(k: int) -> tuple[Fraction, Fraction | None]:
 
 
 def reachable_strata(n: int, m: int, k: int) -> list[tuple[int, int]]:
-    """All (n', m') reachable from (n, m) by splitting off boundary factors.
+    """All (n', m') reachable from (n, m) by splitting off boundary factors
+    (n1, m1 + 1) and (n2, m2 + 1) of a split (n1, m1) | (n2, m2), sorted.
 
-    A split (n1, m1) | (n2, m2) of a stratum contributes factors
-    (n1, m1 + 1) and (n2, m2 + 1); a factor is a boundary divisor exactly
-    when it is itself a valid weight vector. Each factor strictly decreases
-    the total marking count, so the closure is finite; the start vector is
-    included.
+    In closed form: (n, m) and every valid (a, b) with 1 <= b <= m - 1 if
+    a = n, 1 <= b <= m + (n - a)//(k + 1) if a < n. The b weight-one points
+    are kept sections and nodes (at least one), and the branch behind a node
+    holds a weight-one and a light, two weight-one or k + 1 light sections.
     """
     make_weights(n, m, k)
-    seen = {(n, m)}
-    frontier = [(n, m)]
-    while frontier:
-        a, b = frontier.pop()
-        # both factors are valid exactly when (n1, m1) is an admissible split;
-        # a split and its complement give the same two factors
-        for n1 in range(a // 2 + 1):
-            for m1 in heavy_counts(a, b, k, n1):
-                near = (n1, m1 + 1)
-                if near not in seen:
-                    seen.add(near)
-                    frontier.append(near)
-                far = (a - n1, b - m1 + 1)
-                if far not in seen:
-                    seen.add(far)
-                    frontier.append(far)
-    return sorted(seen)
+    return [(a, b) for a in range(n + 1)
+            for b in range(max(1, (2 * k - a) // k + 1),  # a + b*k > 2k
+                           (m + (n - a) // (k + 1) if a < n else m - 1) + 1)] + [(n, m)]
 
 
 def certify_generic(n: int, m: int, k: int, c, *,
@@ -356,12 +356,8 @@ def certify_generic(n: int, m: int, k: int, c, *,
             zero_strata=(weights,), trace=(leg,),
             notes=("no admissible blow-down counts: every generically smooth "
                    "family is step-free and pairs to exactly 0",))
-    if best.value > 0:
-        verdict = STRICTLY_POSITIVE
-    elif best.value == 0:
-        verdict = ZERO_CHARACTERIZED
-    else:
-        verdict = INCONCLUSIVE
+    verdict = (STRICTLY_POSITIVE if best.value > 0
+               else ZERO_CHARACTERIZED if best.value == 0 else INCONCLUSIVE)
     return Certificate(
         verdict, weights, c, a, b, best, best.value, (weights,),
         zero_strata=(weights,) if verdict == ZERO_CHARACTERIZED else (),
@@ -390,9 +386,10 @@ def perturbed_certify(n: int, m: int, k: int, c,
     it shifts the admissible counts whose canonical key it is. Boundary
     divisors of (n, m, k) itself are spelled either way after canonical_eps;
     a key that is the canonical key of no admissible cell in any visited
-    grid raises InvalidBoundaryKey. With eps identically zero this is
-    certify_interval; the maximal uniform shift with a guaranteed
-    strictly_positive verdict is that certificate's margin.
+    grid raises InvalidBoundaryKey. Legs whose grid has no such cell come from
+    the eps-free memo; the others are computed with eps and not stored. With
+    eps identically zero this is certify_interval; the maximal uniform shift
+    with a guaranteed strictly_positive verdict is that certificate's margin.
     """
     labels = {BoundaryKey(*_key_pair(key)): exact(value)
               for key, value in dict(eps or {}).items()}
@@ -430,7 +427,12 @@ def _leg(grid: WeightVector, c: Fraction, eps: Mapping[BoundaryKey, Fraction] | 
     that ab_substitution matches to the ray at c_ab (by default c)."""
     a, b = ab_substitution(grid.n, grid.m, grid.k, c if c_ab is None else c_ab)
     coeffs = CoefficientVector.from_ab(grid.n, grid.m, a, b)
-    return TraceEntry(grid, c, a, b, min_drop(grid.n, grid.m, grid.k, coeffs, eps))
+    return TraceEntry(grid, c, a, b, _min_drop(grid.n, grid.m, grid.k, coeffs, eps))
+
+
+def _grid_shape(n: int, m: int, k: int) -> tuple[int, int]:
+    """(n, m) of the grid that the leg of stratum (n, m) at level k scans."""
+    return (n + m - 1, 1) if k == 1 and m else (n, m)
 
 
 def _stratum_leg(n: int, m: int, k: int, c: Fraction | None,
@@ -443,24 +445,31 @@ def _stratum_leg(n: int, m: int, k: int, c: Fraction | None,
     regrouped grid (n + m - 1, 1), with (a, b) at c capped at 1 (see
     _certify) and the uncapped c in the trace; its flag is unused there.
     """
+    grid = make_weights(*_grid_shape(n, m, k), k)  # the leg's only validation
     if k == 1:
-        if m == 0:
-            return _leg(make_weights(n, 0, 1), c, eps), True
-        return _leg(make_weights(n + m - 1, 1, 1), c, eps, min(c, Fraction(1))), True
-    c0, strict = c0_lower(n, m, k)
-    return _leg(make_weights(n, m, k), c0, eps), strict
+        return _leg(grid, c, eps, min(c, Fraction(1)) if m else None), True
+    c0, strict = _c0_lower(n, m, k)
+    return _leg(grid, c0, eps), strict
 
 
-# Eps-free legs are shared by every level, c and weight vector that reaches
-# their stratum: at k >= 2 they depend on (n, m, k) alone, and every chain
-# from k >= 2 reaches k = 1 at c = 3/4. A few hundred certifications meet
-# about 1e3 (k <= 5) to 4e3 (k up to 200) distinct legs. An entry, cache
-# bookkeeping included, holds about 620 bytes, so the bound keeps the memo
-# near 1.3 MB; results are immutable, so sharing them is safe.
+def _touched(eps: Mapping[BoundaryKey, Fraction], n: int, m: int, k: int) -> set[BoundaryKey]:
+    """The eps keys that canonically label admissible cells of the (n, m, k) grid."""
+    return {key for key in eps if 0 <= key.i <= n and key.j in heavy_counts(n, m, k, key.i)
+            and (key.i, key.j) <= (n - key.i, m - key.j)}
+
+
+# Eps-free legs are keyed by grid shape and shared by every stratum, level, c,
+# weight vector and perturbed run that reaches their grid: at k >= 2 they depend
+# on (n, m, k) alone, and every chain from k >= 2 reaches k = 1 at c = 3/4. A
+# few hundred certifications meet 1e3 (k <= 5) to 4e3 (k <= 200) distinct legs,
+# ~620 B each, so the memo stays near 1.3 MB; legs are immutable, safe to share.
 _LEG_CACHE_SIZE = 2048
 _cached_stratum_leg = lru_cache(maxsize=_LEG_CACHE_SIZE)(_stratum_leg)
 
+_TRANSPORT_CACHE_SIZE = 4096  # passed checks, ~150 B each; a failure raises every time
 
+
+@lru_cache(maxsize=_TRANSPORT_CACHE_SIZE)
 def _check_transport(n: int, m: int, k: int) -> None:
     """At c = (k+1)/(2k) the pulled-back ray from level k has exceptional
     coefficient exactly 0, so it equals the same ray one level down."""
@@ -543,6 +552,7 @@ def _certify(n: int, m: int, k: int, c: Fraction,
     levels = []  # (level, first least drop, zero strata or carriers), level k first
     root = None
     used: set[BoundaryKey] = set()
+    eps_leg = lru_cache(maxsize=None)(partial(_stratum_leg, eps=eps))  # per run, unshared
     for level in range(k, 0, -1):
         if level > 1:
             _check_transport(n, m, level)
@@ -556,8 +566,11 @@ def _certify(n: int, m: int, k: int, c: Fraction,
         best = None
         zeros: list[WeightVector] = []
         for n1, m1 in reachable_strata(n, m, level):
-            leg, strict = (_stratum_leg(n1, m1, level, leg_c, eps) if eps
-                           else _cached_stratum_leg(n1, m1, level, leg_c))
+            shape = _grid_shape(n1, m1, level)  # the leg key: strata of one grid share it
+            touched = _touched(eps, *shape, level) if eps else ()  # then computed afresh
+            used.update(touched)
+            leg, strict = (eps_leg(*shape, level, leg_c) if touched
+                           else _cached_stratum_leg(*shape, level, leg_c))
             if level == 1:
                 stratum = make_weights(n1, m1, 1)
                 if leg.minimum is not None and leg.minimum.value == 0:
@@ -571,9 +584,6 @@ def _certify(n: int, m: int, k: int, c: Fraction,
                 best = leg.minimum
             if level == k and (n1, m1) == (n, m):
                 root = leg
-            if eps:
-                used.update(key for key in eps
-                            if key.is_admissible(leg.grid) and key.is_canonical(leg.grid))
             strata.append(stratum)
             trace.append(leg)
         levels.append((level, best, zeros))

@@ -78,10 +78,15 @@ def random_concrete_family_on(rng: random.Random, weights,
     return None
 
 
+# random_concrete_family's rejection budget: the suite's seeds need about a
+# dozen draws at most, so a sampler that validates nothing fails, not hangs
+MAX_DRAWS = 2000
+
+
 def random_concrete_family(rng: random.Random, max_total: int = 8,
                            max_steps: int = 6) -> FamilyModel:
     """One uniformly-messy valid concrete family, by rejection."""
-    while True:
+    for _ in range(MAX_DRAWS):
         k = rng.choice([1, 1, 2, 2, 3])
         n = rng.randint(0, max_total)
         m = rng.randint(0, max_total - n)
@@ -92,6 +97,8 @@ def random_concrete_family(rng: random.Random, max_total: int = 8,
         family = random_concrete_family_on(rng, weights, max_steps, attempts=1)
         if family is not None:
             return family
+    raise AssertionError(
+        f"random_concrete_family: no valid concrete family in {MAX_DRAWS} draws")
 
 
 def random_family_batch(seed: int, count: int, **kwargs) -> list[FamilyModel]:

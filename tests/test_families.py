@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from nefcert.errors import (
     ShapeNotFunctorial,
     UnequalTauCoefficients,
 )
+import helpers
 from helpers import random_concrete_family_on, random_family_batch
 from test_cli import STABLE
 
@@ -135,6 +137,23 @@ class TestLevelMatrix:
         with pytest.raises(ValueError):
             nc.level_matrix(fam, 0)
 
+    def test_section_indices_outside_the_range_are_rejected(self):
+        # section 0 would wrap to row -1 and lower section 5's self-intersection
+        fam = nc.FamilyModel.concrete(nc.make_weights(5, 0, 2),
+                                      (nc.BlowdownStep.concrete({0, 1, 2}),), (2,) * 5)
+        for reader in (lambda f: nc.level_matrix(f, 0), lambda f: nc.f_values(f, 0),
+                       nc.intersection_numbers):
+            with pytest.raises(ValueError, match=r"^steps\[0\]\.sigma: index 0 outside 1\.\.5$"):
+                reader(fam)
+        steps = (nc.BlowdownStep.concrete({1}, {1}), nc.BlowdownStep.concrete({2}, {3}))
+        fam = nc.FamilyModel.concrete(nc.make_weights(3, 2, 2), steps, (0,) * 3, (0,) * 2)
+        with pytest.raises(ValueError, match=r"^steps\[1\]\.tau: index 3 outside 1\.\.2$"):
+            nc.level_matrix(fam, 0)
+        # the level above the bad step never crosses it
+        assert nc.level_matrix(fam, 2) == [[0] * 5 for _ in range(5)]
+        # validation reports the indices as before, without reaching the sweep
+        assert nc.validate_family(fam) == ["steps[1].tau: indices outside 1..2"]
+
 
 class TestIntersectionNumbers:
     def test_diagonal_family(self):
@@ -233,6 +252,15 @@ class TestSweep:
         result = CliRunner().invoke(main, ["family", "fvalues", str(path)])
         assert result.exit_code == 1 and result.stdout == ""
         assert result.stderr.startswith("error: level 3: matrix potentials")
+
+
+class TestHelpers:
+    def test_random_family_sampler_fails_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setattr(helpers, "validate_family", lambda family: ["always broken"])
+        start = time.perf_counter()
+        with pytest.raises(AssertionError, match="^random_concrete_family: "):
+            helpers.random_concrete_family(random.Random(3))
+        assert time.perf_counter() - start < 5
 
 
 class TestEvaluate:

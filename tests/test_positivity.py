@@ -7,7 +7,8 @@ import pytest
 
 import nefcert as nc
 from nefcert import positivity
-from nefcert.errors import COutOfInterval, InvalidBoundaryKey, InvalidWeights, NoCaseApplies
+from nefcert.errors import (COutOfInterval, InvalidBoundaryKey, InvalidWeights, NefcertError,
+                            NoCaseApplies)
 from nefcert.positivity import INCONCLUSIVE, STRICTLY_POSITIVE, ZERO_CHARACTERIZED
 
 
@@ -188,7 +189,10 @@ class TestAbSubstitution:
         for _ in range(100):
             n = rng.randint(3, 12)
             c = F(rng.randint(-10, 30), rng.randint(1, 24))
-            _, b = nc.ab_substitution(n, 2, 2, c)
+            a, b = nc.ab_substitution(n, 2, 2, c)
+            # the defining equations, and a_tau = (m - b)/m, in Fraction arithmetic
+            assert c == a + b / n and 2 * c - 1 == 2 * a / (n - 1)
+            assert nc.CoefficientVector.from_ab(n, 2, a, b).a_tau == (2 - b) / 2
             assert (b > 1) == (c < F(n + 1, 2 * n))
             assert (b < F(n, 2)) == (c > F(1, 2))
 
@@ -463,7 +467,11 @@ class TestLegMemo:
                       (grid.n - base.witness.r1, grid.m - base.witness.r2))
             shifted = nc.perturbed_certify(n, m, k, _interior(k), {key: -base.margin})
             assert shifted.verdict != STRICTLY_POSITIVE
-        assert positivity._cached_stratum_leg.cache_info() == info
+        # the perturbed runs read their untouched legs, all eps-free, from the
+        # memo and store none of the legs they compute with eps
+        after = positivity._cached_stratum_leg.cache_info()
+        assert after.hits > info.hits
+        assert (after.misses, after.currsize) == (info.misses, info.currsize)
         for (n, m, k, c), cert in before.items():
             assert nc.certify_interval(n, m, k, c) == cert
 
@@ -473,8 +481,79 @@ class TestLegMemo:
                 assert nc.perturbed_certify(n, m, k, c, {}) == nc.certify_interval(n, m, k, c)
         assert nc.perturbed_certify(5, 2, 1, F(5, 4), {}) == nc.certify_interval(5, 2, 1, F(5, 4))
 
+    def test_strata_sharing_a_grid_share_their_leg(self):
+        # the memo and a run's eps legs are keyed by grid shape: at k = 1 every
+        # stratum (a, b) with b >= 1 is certified on its regrouped grid (a + b - 1, 1)
+        for n, m, k in ((12, 3, 1), (9, 4, 3), (7, 0, 2)):
+            for level in range(k, 0, -1):
+                for c in ((F(3, 4), F(5, 4)) if level == 1 else (None,)):
+                    for a, b in nc.reachable_strata(n, m, level):
+                        shape = positivity._grid_shape(a, b, level)
+                        assert positivity._stratum_leg(a, b, level, c) == \
+                            positivity._stratum_leg(*shape, level, c), (a, b, level, c)
+
+    def test_perturbed_runs_equal_runs_with_every_leg_uncached(self, monkeypatch):
+        cases = []
+        for n, m, k in self.VECTORS:
+            base = nc.certify_interval(n, m, k, _interior(k))
+            grid = next(e.grid for e in base.trace if e.minimum == base.witness)
+            key = min((base.witness.r1, base.witness.r2),
+                      (grid.n - base.witness.r1, grid.m - base.witness.r2))
+            cases.append((n, m, k, _interior(k), {key: -base.margin}))
+        # k = 1: the strata with m >= 1 are scanned on regrouped (n + m - 1, 1) grids
+        cases.append((5, 2, 1, F(5, 4), {(2, 0): F(-1, 7), (1, 1): F(1, 3)}))
+        # (0, 2) labels cells of grids at levels 5..2 only: level 1 grids have m = 1
+        cases.append((12, 3, 5, _interior(5), {(0, 2): F(-1, 50)}))
+        for n, m, k, c, eps in cases:
+            with monkeypatch.context() as patch:
+                patch.setattr(positivity, "_cached_stratum_leg", positivity._stratum_leg)
+                reference = nc.perturbed_certify(n, m, k, c, eps)
+            positivity._cached_stratum_leg.cache_clear()
+            assert nc.perturbed_certify(n, m, k, c, eps) == reference
+            nc.certify_interval(n, m, k, c)
+            hits = positivity._cached_stratum_leg.cache_info().hits
+            assert nc.perturbed_certify(n, m, k, c, eps) == reference
+            assert positivity._cached_stratum_leg.cache_info().hits > hits
+        # the last case's key labels cells at some levels only
+        touched = {e.grid.k for e in reference.trace
+                   if nc.BoundaryKey(0, 2).is_admissible(e.grid)
+                   and nc.BoundaryKey(0, 2).is_canonical(e.grid)}
+        assert touched and touched != set(range(1, 6))
+
     def test_memo_is_bounded(self):
         assert positivity._cached_stratum_leg.cache_info().maxsize == 2048
+
+
+class TestTransportMemo:
+    def test_each_shape_is_checked_once(self, monkeypatch):
+        calls = []
+        pullback = positivity.pullback_reduction
+
+        def counted(cls):
+            calls.append((cls.ambient.n, cls.ambient.m, cls.ambient.k))
+            return pullback(cls)
+
+        monkeypatch.setattr(positivity, "pullback_reduction", counted)
+        positivity._check_transport.cache_clear()
+        first = nc.certify_interval(9, 2, 5, _interior(5))
+        second = nc.certify_interval(9, 2, 4, _interior(4))
+        assert sorted(calls) == [(9, 2, level) for level in range(2, 6)]
+        positivity._check_transport.cache_clear()
+        assert nc.certify_interval(9, 2, 5, _interior(5)) == first
+        assert nc.certify_interval(9, 2, 4, _interior(4)) == second
+
+    def test_a_failed_identity_raises_every_time(self, monkeypatch):
+        positivity._check_transport.cache_clear()
+        monkeypatch.setattr(positivity, "pullback_reduction",
+                            lambda cls: nc.zero_class(cls.ambient))
+        for _ in range(2):
+            with pytest.raises(NefcertError, match="transport identity failed"):
+                nc.certify_interval(7, 0, 3, _interior(3))
+        monkeypatch.undo()
+        assert nc.certify_interval(7, 0, 3, _interior(3)).verdict == STRICTLY_POSITIVE
+
+    def test_memo_is_bounded(self):
+        assert positivity._check_transport.cache_info().maxsize == 4096
 
 
 class TestLongChains:
@@ -703,8 +782,13 @@ def oracle_min(n, m, k, coeffs, eps=None):
 
 def oracle_strata(n, m, k):
     """The strata closure as a Fraction-valued BFS over every split."""
+    known = {}
+
     def valid(a, b):
-        return a >= 0 and b >= 0 and b + F(a, k) > 2
+        # the rational rule, evaluated once per factor shape
+        if (a, b) not in known:
+            known[a, b] = a >= 0 and b >= 0 and b + F(a, k) > 2
+        return known[a, b]
 
     seen = {(n, m)}
     frontier = [(n, m)]
@@ -777,9 +861,17 @@ class TestIntegerKernels:
                         oracle_drop(n, m, coeffs, r1, r2)
 
     def test_reachable_strata_matches_fraction_bfs(self):
-        for n, m, k in valid_grids(5, 14, 14):
-            if n + m <= 14:
+        checked = 0
+        for n, m, k in valid_grids(8, 24, 14):
+            if m <= 4 or n + m <= 14:
                 assert nc.reachable_strata(n, m, k) == oracle_strata(n, m, k), (n, m, k)
+                checked += 1
+        assert checked > 1200
+
+    def test_strata_of_a_level_are_strata_one_level_down(self):
+        for n, m, k in valid_grids(9, 30, 8):
+            if k >= 2:
+                assert set(nc.reachable_strata(n, m, k)) <= set(nc.reachable_strata(n, m, k - 1))
 
     def test_admissibility_rules_match_the_rational_rule(self):
         for k in range(1, 7):

@@ -348,9 +348,9 @@ def certify(ctx, n, m, k, c_text, eps_entries, generic_only, as_json) -> None:
     c = _rat(c_text, "--c")
     eps = {}
     for entry in eps_entries:
-        head, _, tail = entry.partition("=")
+        head, equals, tail = entry.partition("=")
         try:
-            i_text, j_text = head.split(",")
+            i_text, j_text = head.split(",") if equals else ()
             key = (int(i_text), int(j_text))
         except ValueError:
             _fail(f'--eps: expected "i,j=p/q", got {entry!r}')

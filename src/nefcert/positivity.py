@@ -17,10 +17,12 @@ weight levels is grounded at k = 1.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import lcm
+from random import Random
 from typing import Mapping
 
 from .divisors import (
@@ -99,40 +101,44 @@ def admissible_pairs(n: int, m: int, k: int) -> list[tuple[int, int]]:
     return [(r1, r2) for r1 in range(n + 1) for r2 in heavy_counts(n, m, k, r1)]
 
 
-def _scaled_drop_rows(n: int, m: int, coeffs: CoefficientVector,
-                      eps: Mapping[BoundaryKey, Fraction] | None):
-    """The drop plus its eps shift, times a common denominator, as integer rows.
-
-    The drop at counts (r1, r2) is drop_value's, expanded as
-        -a_delta + a_sigma*r1(n-r1)/(n-1) + a_tau*r2(m-r2)/(m-1)
-        + a_sigma_tau*(r1(m-r2) + r2(n-r1))/(nm),
-    without the terms that families._step_drops sets to 0 (n <= 1, m <= 1,
-    nm = 0); eps shifts it by eps[(i, j)] at the counts whose canonical key
-    min((r1, r2), (n-r1, m-r2)) is (i, j). Returns
-    (scale, t, rows) with rows[r1] = (p, q, shift) such that scale times the
-    shifted drop is p + r2*(q - t*r2) + shift[r2], all integers.
-    """
+def _scan(n: int, m: int, k: int, weights, eps: Mapping[BoundaryKey, Fraction] | None,
+          cells=None) -> DropEvaluation | None:
+    """The first least drop in grid order, shifted by eps at the cells whose
+    canonical key it names, over the admissible (n, m, k) cells or over cells,
+    (r1, r2s) rows in grid order. weights holds (numerator, denominator) of
+    a_sigma, a_tau, a_sigma_tau and a_delta in drop_value's drop, -a_delta +
+    a_sigma*r1(n-r1)/(n-1) + a_tau*r2(m-r2)/(m-1) + a_sigma_tau*(r1(m-r2) +
+    r2(n-r1))/(nm), less the terms families._step_drops sets to 0 (n <= 1,
+    m <= 1, nm = 0); cells are scored in integers over one denominator."""
+    (sn, sd), (tn, td), (xn, xd), (zn, zd) = weights
+    sn, sd = (sn, sd * (n - 1)) if n >= 2 else (0, 1)
+    tn, td = (tn, td * (m - 1)) if m >= 2 else (0, 1)
+    xn, xd = (xn, xd * n * m) if n and m else (0, 1)
     eps = eps or {}
-    pairs = ((coeffs.a_sigma, n - 1) if n >= 2 else (0, 1),
-             (coeffs.a_tau, m - 1) if m >= 2 else (0, 1),
-             (coeffs.a_sigma_tau, n * m) if n and m else (0, 1),
-             (coeffs.a_delta, 1))
-    scale = lcm(*(value.denominator * divisor for value, divisor in pairs),
-                *(value.denominator for value in eps.values()))
-    s, t, x, z = (value.numerator * (scale // (value.denominator * divisor))
-                  for value, divisor in pairs)
-    shift_rows: dict[int, list[int]] = {}
+    scale = lcm(sd, td, xd, zd, *[value.denominator for value in eps.values()])
+    s, t, x, z = sn * (scale // sd), tn * (scale // td), xn * (scale // xd), zn * (scale // zd)
+    shifts: dict[int, dict[int, int]] = {}
     for key, value in eps.items():
         i, j = key.i, key.j
         if 0 <= i <= n and 0 <= j <= m and (i, j) <= (n - i, m - j):
             scaled = value.numerator * (scale // value.denominator)
             for r1, r2 in ((i, j), (n - i, m - j)):
-                shift_rows.setdefault(r1, [0] * (m + 1))[r2] = scaled
-    zeros = [0] * (m + 1)
-    rows = [(s * r1 * (n - r1) + x * r1 * m - z, t * m + x * (n - 2 * r1),
-             shift_rows.get(r1, zeros))
-            for r1 in range(n + 1)]
-    return scale, t, rows
+                shifts.setdefault(r1, {})[r2] = scaled
+    if cells is None:
+        cells = ((r1, heavy_counts(n, m, k, r1)) for r1 in range(n + 1))
+    best = best_r1 = best_r2 = None
+    for r1, r2s in cells:
+        p, q = s * r1 * (n - r1) + x * r1 * m - z, t * m + x * (n - 2 * r1)
+        row = shifts.get(r1)
+        for r2 in r2s:
+            value = p + r2 * (q - t * r2)
+            if row:
+                value += row.get(r2, 0)
+            if best is None or value < best:
+                best, best_r1, best_r2 = value, r1, r2
+    if best is None:
+        return None
+    return DropEvaluation(best_r1, best_r2, Fraction(best, scale))
 
 
 def drop_value(n: int, m: int, k: int, coeffs: CoefficientVector,
@@ -149,29 +155,14 @@ def drop_value(n: int, m: int, k: int, coeffs: CoefficientVector,
 
 def min_drop(n: int, m: int, k: int, coeffs: CoefficientVector,
              eps: Mapping[BoundaryKey, Fraction] | None = None) -> DropEvaluation | None:
-    """Exhaustive minimum of the drop, shifted by eps, over admissible counts.
-
-    Every admissible cell is scanned in grid order in integer arithmetic
-    over one common denominator, and the strict < keeps the
-    lexicographically smallest (r1, r2) among ties; None when no step is
-    admissible at all (every generically smooth family is then a step-free
-    ruled-surface family).
+    """Exhaustive minimum of the drop, shifted by eps, over admissible counts:
+    the first least cell in grid order, scanned in integers (_scan); None when
+    no step is admissible at all (every generically smooth family is then a
+    step-free ruled-surface family).
     """
     make_weights(n, m, k)
-    return _min_drop(n, m, k, coeffs, eps)
-
-
-def _min_drop(n: int, m: int, k: int, coeffs: CoefficientVector, eps) -> DropEvaluation | None:
-    scale, t, rows = _scaled_drop_rows(n, m, coeffs, eps)
-    best = best_r1 = best_r2 = None
-    for r1, (p, q, shift) in enumerate(rows):
-        for r2 in heavy_counts(n, m, k, r1):
-            value = p + r2 * (q - t * r2) + shift[r2]
-            if best is None or value < best:
-                best, best_r1, best_r2 = value, r1, r2
-    if best is None:
-        return None
-    return DropEvaluation(best_r1, best_r2, Fraction(best, scale))
+    return _scan(n, m, k, [(value.numerator, value.denominator) for value in (
+        coeffs.a_sigma, coeffs.a_tau, coeffs.a_sigma_tau, coeffs.a_delta)], eps)
 
 
 def g_series(family: FamilyModel, coeffs: CoefficientVector) -> list[Fraction]:
@@ -301,7 +292,12 @@ def _c0_lower(n: int, m: int, k: int) -> tuple[Fraction, bool]:
     cap = Fraction(k + 2, 2 * (k + 1))
     if c0 > cap:
         raise NefcertError(f"internal: base value {c0} above the cap {cap}")
-    return c0, c0 < cap
+    return c0, _below_cap(c0, k)
+
+
+def _below_cap(c0: Fraction, k: int) -> bool:
+    """c0 < (k+2)/(2(k+1)), in integers: c0_lower's strict flag."""
+    return c0.numerator * 2 * (k + 1) < (k + 2) * c0.denominator
 
 
 def ample_interval(k: int) -> tuple[Fraction, Fraction | None]:
@@ -348,7 +344,7 @@ def certify_generic(n: int, m: int, k: int, c, *,
     c = exact(c)
     if eps:
         eps = canonical_eps(weights, eps)
-    leg = _leg(weights, c, eps)
+    leg = _leg(weights, c, *ab_substitution(n, m, k, c), eps)
     a, b, best = leg.a, leg.b, leg.minimum
     if best is None:
         return Certificate(
@@ -387,9 +383,10 @@ def perturbed_certify(n: int, m: int, k: int, c,
     divisors of (n, m, k) itself are spelled either way after canonical_eps;
     a key that is the canonical key of no admissible cell in any visited
     grid raises InvalidBoundaryKey. Legs whose grid has no such cell come from
-    the eps-free memo; the others are computed with eps and not stored. With
-    eps identically zero this is certify_interval; the maximal uniform shift
-    with a guaranteed strictly_positive verdict is that certificate's margin.
+    the eps-free memo; every other leg starts from its memo leg (_shifted_leg)
+    and is not stored. With eps identically zero this is certify_interval; the
+    maximal uniform shift with a guaranteed strictly_positive verdict is that
+    certificate's margin.
     """
     labels = {BoundaryKey(*_key_pair(key)): exact(value)
               for key, value in dict(eps or {}).items()}
@@ -421,13 +418,13 @@ def _key_pair(key) -> tuple[int, int]:
     return (key.i, key.j) if isinstance(key, BoundaryKey) else tuple(key)
 
 
-def _leg(grid: WeightVector, c: Fraction, eps: Mapping[BoundaryKey, Fraction] | None,
-         c_ab: Fraction | None = None) -> TraceEntry:
-    """One leg: the exhaustive minimum drop on grid of the (a, b) combination
-    that ab_substitution matches to the ray at c_ab (by default c)."""
-    a, b = ab_substitution(grid.n, grid.m, grid.k, c if c_ab is None else c_ab)
-    coeffs = CoefficientVector.from_ab(grid.n, grid.m, a, b)
-    return TraceEntry(grid, c, a, b, _min_drop(grid.n, grid.m, grid.k, coeffs, eps))
+def _leg(grid: WeightVector, c: Fraction, a: Fraction, b: Fraction,
+         eps: Mapping[BoundaryKey, Fraction] | None, cells=None) -> TraceEntry:
+    """One leg: the first least drop on grid (over cells, by default all) of
+    CoefficientVector.from_ab's (a, b) combination, in integers: a_tau = (m - b)/m."""
+    m, (pa, qa), (pb, qb) = grid.m, (a.numerator, a.denominator), (b.numerator, b.denominator)
+    weights = ((pa, qa), (m * qb - pb, m * qb), (pb, qb), (1, 1))
+    return TraceEntry(grid, c, a, b, _scan(grid.n, m, grid.k, weights, eps, cells))
 
 
 def _grid_shape(n: int, m: int, k: int) -> tuple[int, int]:
@@ -435,36 +432,98 @@ def _grid_shape(n: int, m: int, k: int) -> tuple[int, int]:
     return (n + m - 1, 1) if k == 1 and m else (n, m)
 
 
-def _stratum_leg(n: int, m: int, k: int, c: Fraction | None,
-                 eps: Mapping[BoundaryKey, Fraction] | None = None) -> tuple[TraceEntry, bool]:
-    """The leg of stratum (n, m) at level k, with its strict flag.
-
-    For k >= 2 it is the base leg at c0 with c0_lower's strict flag; it does
-    not depend on the level's c, which callers leave None. At k = 1 it is
-    taken at c on the stratum's own grid when m = 0 and otherwise on the
-    regrouped grid (n + m - 1, 1), with (a, b) at c capped at 1 (see
-    _certify) and the uncapped c in the trace; its flag is unused there.
-    """
-    grid = make_weights(*_grid_shape(n, m, k), k)  # the leg's only validation
-    if k == 1:
-        return _leg(grid, c, eps, min(c, Fraction(1)) if m else None), True
-    c0, strict = _c0_lower(n, m, k)
-    return _leg(grid, c0, eps), strict
+_LEVEL1_C = Fraction(3, 4)  # the c of level 1 in every chain from k >= 2
 
 
-def _touched(eps: Mapping[BoundaryKey, Fraction], n: int, m: int, k: int) -> set[BoundaryKey]:
-    """The eps keys that canonically label admissible cells of the (n, m, k) grid."""
-    return {key for key in eps if 0 <= key.i <= n and key.j in heavy_counts(n, m, k, key.i)
-            and (key.i, key.j) <= (n - key.i, m - key.j)}
+@lru_cache(maxsize=256)
+def _leg_class(n: int, m: int, k: int, c: Fraction | None) -> tuple[Fraction, Fraction, Fraction]:
+    """(c, a, b) of every leg on an (n, m', k) grid with min(m', 2) = m: the base
+    value c0 of c0_lower for k >= 2, and at k = 1 the given c (3/4 when None)
+    with (a, b) at c capped at 1 on m = 1 grids (see _certify). The legs of a
+    class at one level come one after another, so they share c, a and b."""
+    if k > 1:
+        c = _c0_lower(n, m, k)[0]
+        return c, *ab_substitution(n, m, k, c)
+    c = _LEVEL1_C if c is None else c
+    return c, *ab_substitution(n, m, k, min(c, Fraction(1)) if m else c)
 
 
-# Eps-free legs are keyed by grid shape and shared by every stratum, level, c,
-# weight vector and perturbed run that reaches their grid: at k >= 2 they depend
-# on (n, m, k) alone, and every chain from k >= 2 reaches k = 1 at c = 3/4. A
-# few hundred certifications meet 1e3 (k <= 5) to 4e3 (k <= 200) distinct legs,
-# ~620 B each, so the memo stays near 1.3 MB; legs are immutable, safe to share.
-_LEG_CACHE_SIZE = 2048
-_cached_stratum_leg = lru_cache(maxsize=_LEG_CACHE_SIZE)(_stratum_leg)
+def _stratum_leg(n: int, m: int, k: int, c: Fraction | None) -> TraceEntry:
+    """The eps-free leg of stratum (n, m) at level k: for k >= 2 the base leg at
+    c0, strict when _below_cap(leg.c, k), which callers reach with c = None; at
+    k = 1 the leg at c (None for 3/4) on the stratum's own grid when m = 0 and
+    on the regrouped grid (n + m - 1, 1) otherwise."""
+    n, m = _grid_shape(n, m, k)
+    grid = make_weights(n, m, k)  # the leg's only validation
+    return _leg(grid, *_leg_class(n, min(m, 2), k, c), None)
+
+
+def _shifted_leg(leg: TraceEntry, eps: Mapping[BoundaryKey, Fraction], unused: set) -> TraceEntry:
+    """The eps-free leg with eps; the eps keys that label cells of its grid leave
+    unused. Its minimum is the first least drop in grid order, which no cell
+    that eps raises or leaves can undercut: unless eps raises its cell, only it
+    and the cells eps lowers are scored (none: the leg stands). Otherwise the
+    whole grid is scanned again."""
+    grid, low = leg.grid, leg.minimum
+    n, m = grid.n, grid.m
+    touched = [(key, value) for key, value in eps.items()
+               if 0 <= key.i <= n and (key.i, key.j) <= (n - key.i, m - key.j)
+               and key.j in heavy_counts(n, m, grid.k, key.i)]
+    if unused and touched:
+        unused.difference_update(key for key, _ in touched)
+    lowered = set()
+    for key, value in touched:
+        cells = {(key.i, key.j), (n - key.i, m - key.j)}
+        if value.numerator > 0 and (low.r1, low.r2) in cells:
+            return _leg(grid, leg.c, leg.a, leg.b, eps)
+        if value.numerator < 0:
+            lowered |= cells
+    if not lowered:
+        return leg
+    return _leg(grid, leg.c, leg.a, leg.b, eps,
+                [(r1, (r2,)) for r1, r2 in sorted(lowered | {(low.r1, low.r2)})])
+
+
+# Eps-free legs, keyed by grid shape (and at k = 1 by c, None for 3/4), serve
+# every stratum, level, c, weight vector and perturbed run that reaches their
+# grid. An entry holds the leg alone, 430-500 B with its _leg_class's c, a and
+# b; 3072 hold one certify-wide certificate's grids up to n = 64 ((64, 4, 5)
+# has 2962). Ops ask for legs in the same order, LRU's worst case once one
+# needs more than fit: a random victim keeps about 3072/need of them.
+_LEG_CACHE_SIZE = 3072
+_MemoInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _random_eviction_memo(fn, maxsize: int):
+    """fn, never None, memoized for up to maxsize argument tuples; a random
+    entry makes room. cache_info and cache_clear work as lru_cache's."""
+    values, keys, counts, pick = {}, [], [0, 0], Random(0).randrange
+
+    def cached(*key):
+        value = values.get(key)
+        counts[value is None] += 1  # hits, misses
+        if value is None:
+            value = values[key] = fn(*key)
+            if len(keys) < maxsize:
+                keys.append(key)
+            else:
+                at = pick(maxsize)
+                del values[keys[at]]
+                keys[at] = key
+        return value
+
+    def cache_clear():
+        values.clear()
+        keys.clear()
+        counts[:] = [0, 0]
+
+    cached.cache_clear = cache_clear
+    cached.cache_info = lambda: _MemoInfo(*counts, maxsize, len(values))
+    return cached
+
+
+_cached_stratum_leg = _random_eviction_memo(_stratum_leg, _LEG_CACHE_SIZE)
+_cached_weights = lru_cache(maxsize=_LEG_CACHE_SIZE)(make_weights)  # level-1 strata
 
 _TRANSPORT_CACHE_SIZE = 4096  # passed checks, ~150 B each; a failure raises every time
 
@@ -551,46 +610,46 @@ def _certify(n: int, m: int, k: int, c: Fraction,
     strata: list[WeightVector] = []
     levels = []  # (level, first least drop, zero strata or carriers), level k first
     root = None
-    used: set[BoundaryKey] = set()
-    eps_leg = lru_cache(maxsize=None)(partial(_stratum_leg, eps=eps))  # per run, unshared
+    unused = set(eps or ())
+    # below the top, a level is reached at the upper endpoint of the level
+    # above: its own lower endpoint for level >= 2, and 3/4 at level 1, the
+    # only level whose legs depend on c; the memo keys c = 3/4 as None
+    leg_c = c if k == 1 and c != _LEVEL1_C else None
     for level in range(k, 0, -1):
         if level > 1:
             _check_transport(n, m, level)
         if level == k and c == hi:
             continue
-        # below the top, a level is reached at the upper endpoint of the level
-        # above: its own lower endpoint for level >= 2, and 3/4 at level 1,
-        # the only level whose legs depend on c
         at_lo = level < k or c == lo
-        leg_c = None if level > 1 else c if k == 1 else Fraction(3, 4)
         best = None
         zeros: list[WeightVector] = []
         for n1, m1 in reachable_strata(n, m, level):
             shape = _grid_shape(n1, m1, level)  # the leg key: strata of one grid share it
-            touched = _touched(eps, *shape, level) if eps else ()  # then computed afresh
-            used.update(touched)
-            leg, strict = (eps_leg(*shape, level, leg_c) if touched
-                           else _cached_stratum_leg(*shape, level, leg_c))
+            leg = _cached_stratum_leg(*shape, level, leg_c)
+            if eps and leg.minimum is not None:
+                leg = _shifted_leg(leg, eps, unused)
+            low = leg.minimum
             if level == 1:
-                stratum = make_weights(n1, m1, 1)
-                if leg.minimum is not None and leg.minimum.value == 0:
+                stratum = _cached_weights(n1, m1, 1) if m1 else leg.grid
+                if low is not None and low.value == 0:
                     zeros.append(stratum)
             else:
                 stratum = leg.grid
-                if at_lo and not strict:
+                if at_lo and not _below_cap(leg.c, level):
                     # base value equals c itself: no convex room, genuine zero curves
                     zeros.append(stratum)
-            if leg.minimum is not None and (best is None or leg.minimum.value < best.value):
-                best = leg.minimum
+            # least drops compared in integers: a Fraction < first checks numbers.Rational
+            if low is not None and (best is None or low.value.numerator * least_den
+                                    < least_num * low.value.denominator):
+                best, least_num, least_den = low, low.value.numerator, low.value.denominator
             if level == k and (n1, m1) == (n, m):
                 root = leg
             strata.append(stratum)
             trace.append(leg)
         levels.append((level, best, zeros))
-    if eps and len(used) < len(eps):
-        unused = min(set(eps) - used)
+    if unused:
         raise InvalidBoundaryKey(
-            f"({unused.label()}) is the canonical key of no admissible cell in "
+            f"({min(unused).label()}) is the canonical key of no admissible cell in "
             f"any grid visited from ({weights.label()})")
 
     verdict, zero_strata, witness = None, (), None

@@ -352,6 +352,16 @@ class TestEpsKeys:
         assert result.stdout == ""
         assert result.stderr.startswith("error: --eps: ")
 
+    @pytest.mark.parametrize("entry", ["3,0", "3,0=", "3=1/5", "a,0=1/5"])
+    def test_malformed_entry_names_the_expected_form(self, runner, entry):
+        result = runner.invoke(main, self.BASE + ["--eps", entry])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        if entry == "3,0=":  # the form is right, the value is not a rational
+            assert result.stderr.startswith("error: --eps: not a rational literal")
+        else:
+            assert result.stderr == f'error: --eps: expected "i,j=p/q", got {entry!r}\n'
+
     def test_root_divisor_no_visited_grid_carries_exits_one(self, runner):
         # at k = 1 strata with heavy sections are certified on regrouped grids
         # (n + m - 1, 1), none of which has the cell (1, 2) of (5, 2, 1)

@@ -1,7 +1,12 @@
+import gc
+import importlib.util
 import itertools
 import random
 import sys
+import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -521,7 +526,29 @@ class TestLegMemo:
         assert touched and touched != set(range(1, 6))
 
     def test_memo_is_bounded(self):
-        assert positivity._cached_stratum_leg.cache_info().maxsize == 2048
+        assert positivity._cached_stratum_leg.cache_info().maxsize == 3072
+
+    # bytes the 2048-entry memo held after an (8, 8, 60) certification on
+    # CPython 3.11, when every leg kept its own c, a and b
+    FOOTPRINT_2048 = 1285 * 1024
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="object sizes of CPython 3.11")
+    def test_memo_footprint_stays_within_budget(self):
+        for memo in (positivity._cached_stratum_leg, positivity._leg_class,
+                     positivity._cached_weights, positivity._check_transport):
+            memo.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            nc.certify_interval(8, 8, 60, _interior(60))  # about 3700 distinct legs
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        info = positivity._cached_stratum_leg.cache_info()
+        assert info.currsize == info.maxsize
+        assert held <= self.FOOTPRINT_2048 * 3 // 2, held
 
 
 class TestTransportMemo:
@@ -890,3 +917,162 @@ class TestIntegerKernels:
                             rational = (0 <= i <= n and 0 <= j <= m
                                         and F(i, k) + j > 1 and F(n - i, k) + (m - j) > 1)
                             assert nc.BoundaryKey(i, j).is_admissible(weights) == rational
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def wide_shapes():
+    """The (m, k) of the benchmark's certify-wide shapes (perfbench/workloads.py,
+    stdlib only, loaded from its path)."""
+    spec = importlib.util.spec_from_file_location("nefcert_bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sorted({(m, k) for shapes in module.WIDE_CLASSES for _, m, k in shapes})
+
+
+def composed_leg(n, m, k, c=None):
+    """An eps-free leg through the Fraction path: c0_lower (or c at k = 1),
+    ab_substitution, CoefficientVector.from_ab and min_drop on the leg's grid."""
+    gn, gm = positivity._grid_shape(n, m, k)
+    if k > 1:
+        c, _ = nc.c0_lower(gn, gm, k)
+        a, b = nc.ab_substitution(gn, gm, k, c)
+    else:
+        c = F(3, 4) if c is None else c
+        a, b = nc.ab_substitution(gn, gm, k, min(c, 1) if gm else c)
+    coeffs = nc.CoefficientVector.from_ab(gn, gm, a, b)
+    return positivity.TraceEntry(nc.make_weights(gn, gm, k), c, a, b,
+                                 nc.min_drop(gn, gm, k, coeffs))
+
+
+class TestIntegerLegs:
+    """Cold legs take (c, a, b) from their class and scan integer rows built
+    from the numerators and denominators of a and b."""
+
+    def test_cold_legs_equal_the_fraction_composition(self):
+        checked = 0
+        for n, m, k in valid_grids(30, 12, 8):
+            for c in ((None,) if k > 1 else (None, F(7, 10), F(5, 4))):
+                leg = positivity._stratum_leg(n, m, k, c)
+                assert leg == composed_leg(n, m, k, c), (n, m, k, c)
+                if k > 1:
+                    assert positivity._below_cap(leg.c, k) == nc.c0_lower(n, m, k)[1]
+                if k <= 6 and n <= 8:  # the exhaustive Fraction table, independent of the scan
+                    coeffs = nc.CoefficientVector.from_ab(leg.grid.n, leg.grid.m, leg.a, leg.b)
+                    assert as_triple(leg.minimum) == \
+                        oracle_min(leg.grid.n, leg.grid.m, k, coeffs), (n, m, k, c)
+                checked += 1
+        assert checked > 3000
+
+    def test_wide_legs_equal_the_fraction_composition(self):
+        shapes = wide_shapes()
+        assert len(shapes) >= 5
+        for m, k in shapes:
+            for n in range(12, 71):
+                for level in (k, 2):
+                    assert positivity._stratum_leg(n, m, level, None) == \
+                        composed_leg(n, m, level), (n, m, level)
+
+
+class TestShiftedLegs:
+    """A perturbed leg starts from the eps-free leg and scores only the cells
+    eps lowers (or rescans when eps raises the eps-free minimizer); it must
+    equal a full scan with eps and the exhaustive Fraction table."""
+
+    @staticmethod
+    def check(leg, eps):
+        n, m, k = leg.grid.n, leg.grid.m, leg.grid.k
+        coeffs = nc.CoefficientVector.from_ab(n, m, leg.a, leg.b)
+        labels = {key for key in eps
+                  if key.is_admissible(leg.grid) and key.is_canonical(leg.grid)}
+        assert labels
+        unused = set(eps) | {nc.BoundaryKey(n + 1, 0)}
+        shifted = positivity._shifted_leg(leg, eps, unused)
+        assert unused == set(eps) - labels | {nc.BoundaryKey(n + 1, 0)}
+        full = nc.min_drop(n, m, k, coeffs, eps)
+        assert shifted == positivity.TraceEntry(leg.grid, leg.c, leg.a, leg.b, full), \
+            (n, m, k, eps)
+        assert as_triple(full) == oracle_min(n, m, k, coeffs, eps), (n, m, k, eps)
+        return shifted
+
+    @staticmethod
+    def cells(leg):
+        n, m, k = leg.grid.n, leg.grid.m, leg.grid.k
+        return [(r1, r2) for r1 in range(n + 1) for r2 in nc.positivity.heavy_counts(n, m, k, r1)]
+
+    @staticmethod
+    def key(leg, cell):
+        n, m = leg.grid.n, leg.grid.m
+        return nc.BoundaryKey(*min(cell, (n - cell[0], m - cell[1])))
+
+    def drop(self, leg, cell):
+        n, m, k = leg.grid.n, leg.grid.m, leg.grid.k
+        coeffs = nc.CoefficientVector.from_ab(n, m, leg.a, leg.b)
+        return nc.drop_value(n, m, k, coeffs, *cell)
+
+    def legs(self):
+        for n, m, k in valid_grids(6, 12, 6):
+            if k > 1:
+                yield positivity._stratum_leg(n, m, k, None)
+            elif m:  # regrouped (n + m - 1, 1) grids at c = 3/4 and above 1
+                for c in (None, F(5, 4)):
+                    yield positivity._stratum_leg(n, m, 1, c)
+
+    def test_random_grids_and_keys(self):
+        rng = random.Random(4242)
+        legs = [leg for leg in self.legs() if leg.minimum is not None]
+        seen = Counter()
+        for _ in range(1500):
+            leg = rng.choice(legs)
+            cells = self.cells(leg)
+            low = leg.minimum
+            first = self.key(leg, (low.r1, low.r2))
+            eps = {}
+            for _ in range(rng.randint(1, 3)):
+                cell = rng.choice(cells + [(low.r1, low.r2)] * 3)  # favour the minimizer
+                key = self.key(leg, cell)
+                kind = rng.choice(("tie", "zero", "up", "down"))
+                value = {"tie": low.value - self.drop(leg, cell), "zero": F(0),
+                         "up": F(rng.randint(1, 9), rng.randint(1, 40)),
+                         "down": -F(rng.randint(1, 9), rng.randint(1, 40))}[kind]
+                eps[key] = value
+            seen["rescan" if eps.get(first, 0) > 0 else
+                 "lowered" if any(v < 0 for v in eps.values()) else "stands"] += 1
+            seen["zero"] += any(v == 0 for v in eps.values())
+            n, m = leg.grid.n, leg.grid.m
+            seen["self-complementary"] += any((k.i, k.j) == (n - k.i, m - k.j) for k in eps)
+            seen["k = 1"] += leg.grid.k == 1
+            self.check(leg, eps)
+        assert min(seen.values()) >= 20, seen
+
+    def test_ties_at_the_minimum_keep_the_first_cell(self):
+        rng = random.Random(99)
+        legs = [leg for leg in self.legs() if leg.minimum is not None]
+        checked = Counter()
+        for _ in range(800):
+            leg = rng.choice(legs)
+            low = (leg.minimum.r1, leg.minimum.r2)
+            for cell in rng.sample(self.cells(leg), 1):
+                key = self.key(leg, cell)
+                if key == self.key(leg, low):
+                    continue
+                # lowered exactly onto the minimum: grid order decides
+                shifted = self.check(leg, {key: leg.minimum.value - self.drop(leg, cell)})
+                first = min(cell, (leg.grid.n - cell[0], leg.grid.m - cell[1]), low)
+                assert (shifted.minimum.r1, shifted.minimum.r2) == first
+                checked[first == low] += 1
+        assert checked[True] > 100 and checked[False] > 50, checked
+
+    def test_raised_minimizer_rescans(self):
+        # (9, 0, 2) at c0 = 4/7: drops 2/7, 3/7, 3/7, 2/7 at r1 = 3..6, and the
+        # key (3, 0) labels the two least cells (3, 0) and (6, 0)
+        leg = positivity._stratum_leg(9, 0, 2, None)
+        assert (leg.minimum.r1, leg.minimum.r2, leg.minimum.value) == (3, 0, F(2, 7))
+        for value in (F(1, 1000), F(-1, 1000), F(0)):
+            shifted = self.check(leg, {nc.BoundaryKey(3, 0): value})
+            assert (shifted.minimum.r1, shifted.minimum.r2) == (3, 0)
+        raised = self.check(leg, {nc.BoundaryKey(3, 0): F(1)})
+        assert (raised.minimum.r1, raised.minimum.r2, raised.minimum.value) == (4, 0, F(3, 7))
+        # a leg whose cells eps only raises, away from its minimizer, stands as it is
+        assert self.check(leg, {nc.BoundaryKey(4, 0): F(1)}) is leg

@@ -6,7 +6,9 @@ to the drop kernels, the strata closure, the certification engine or the
 command table that alters any output fails here. The `certify --json`
 cases cover every role (lower endpoint, interior, upper endpoint, eps
 perturbation, --generic-only) with k from 1 to 5, plus long transport
-chains up to k = 60. The other cases are the README's commands, with the
+chains up to k = 60. The other cases are the README's commands (the
+`certify` ones also as text, next to the step-free `--generic-only`
+certificate on (5,0,2) and the five-case `thresholds --k 3`), with the
 family commands run in a temporary directory on test_cli.STABLE written to
 stable.json and on the files in tests/families: chain.json, a 40-step
 concrete chain on (7,2,3) whose F_tau and F_sigma_tau are non-zero, and
@@ -69,6 +71,8 @@ CASES = [
     _certify("8", "3", "6", "7/12"),
     _certify("5", "2", "8", "9/16"),
     _certify("10", "2", "7", "127/224", "--eps", "3,1=-1/64"),
+    # no admissible cell: the step-free certificate, minimizer "-", exit 2
+    _certify("5", "0", "2", "2/3", "--generic-only"),
     _readme("class", "dk", "--n", "5", "--m", "0", "--k", "2", "--c", "3/4"),
     _readme("class", "logcanonical", "--n", "6", "--alpha", "1/2"),
     _readme("class", "pull-reduction", "--n", "7", "--m", "0", "--k", "3",
@@ -91,7 +95,14 @@ CASES = [
     _readme("family", "numbers", "abstract.json"),
     _readme("family", "fvalues", "abstract.json"),
     _readme("family", "gseries", "abstract.json", "--a", "2/3", "--b", "1/3"),
+    _readme("certify", "--n", "7", "--m", "0", "--k", "2", "--c", "7/10"),
+    _readme("certify", "--n", "4", "--m", "1", "--k", "3", "--c", "5/8", "--generic-only"),
+    _readme("certify", "--n", "7", "--m", "0", "--k", "2", "--c", "7/10",
+            "--eps", "3,0=-1/24"),
+    _readme("certify", "--n", "5", "--m", "0", "--k", "2", "--c", "2/3", "--generic-only"),
     _readme("thresholds", "--k", "2", "--nmax", "7", "--mmax", "1"),
+    # every case of the table, 3 and 4 included
+    _readme("thresholds", "--k", "3", "--nmax", "9", "--mmax", "3"),
     _readme("fixtures"),
 ]
 

@@ -103,6 +103,33 @@ class TestValidate:
         assert nc.validate_family(diagonal_family()) == []
         assert nc.validate_family(stable_model()) == []
 
+    def test_single_step_messages_match_the_fraction_rule(self):
+        # both sides of the node weigh more than 1, decided and worded in Fractions
+        checked = 0
+        for n in range(14):
+            for m in range(6):
+                for k in range(1, 8):
+                    if m + F(n, k) <= 2:
+                        continue
+                    weights = nc.make_weights(n, m, k)
+                    for r1 in range(n + 1):
+                        for r2 in range(m + 1):
+                            expected = []
+                            contracted = F(r1, k) + r2
+                            if contracted <= 1:
+                                expected.append(
+                                    "steps[0]: contracted component weight r1/k + r2 = "
+                                    f"{contracted} is not > 1")
+                            rest = F(n - r1, k) + (m - r2)
+                            if rest <= 1:
+                                expected.append(
+                                    "steps[0]: complement weight (n-r1)/k + (m-r2) = "
+                                    f"{rest} is not > 1")
+                            family = nc.FamilyModel.abstract(weights, [(r1, r2)])
+                            assert nc.validate_family(family) == expected, (n, m, k, r1, r2)
+                            checked += len(expected)
+        assert checked > 1000
+
 
 class TestLevelMatrix:
     def test_diagonal_family_level_zero(self):

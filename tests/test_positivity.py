@@ -1076,3 +1076,86 @@ class TestShiftedLegs:
         assert (raised.minimum.r1, raised.minimum.r2, raised.minimum.value) == (4, 0, F(3, 7))
         # a leg whose cells eps only raises, away from its minimizer, stands as it is
         assert self.check(leg, {nc.BoundaryKey(4, 0): F(1)}) is leg
+
+
+# --- the case table written out in Fraction arithmetic ------------------------
+
+def oracle_case(n, m, k, a, b):
+    """(case, strict hypothesis) of positivity_case, None where no case applies."""
+    if m == 0:
+        return 1, a > F(n - 1, (n - k - 1) * (k + 1))
+    if m == 1:
+        if n == k + 1:
+            return None
+        return 2, a > F(n - 1, n * (k + 1))
+    if 2 <= n <= k:
+        return 3, a > 0 and b > 0
+    if n >= k + 1:
+        return 4, F((k + 1) * (n - k - 1), n - 1) * a + F(k + 1, n) * b > 1 and b > 1
+    return None
+
+
+def oracle_threshold(n, m, k):
+    """(case, c, lo, hi) of threshold_c for k >= 2."""
+    if m == 0:
+        return 1, F(n - 1, 2 * (n - 2)), None, None
+    if m == 1:
+        if n == k + 1:
+            return 5, F(k + 2, 2 * (k + 1)), None, None
+        return 2, F(n + 1, 2 * n), None, None
+    if n >= k + 1:
+        return 4, None, F(1, 2), F(n + 1, 2 * n)
+    return 3, None, F(1, 2), F(k + 2, 2 * (k + 1))
+
+
+def oracle_c0(n, m, k):
+    """(c0, strict) of c0_lower: the point, or the interval midpoint, below the cap."""
+    _, c, lo, hi = oracle_threshold(n, m, k)
+    c0 = c if c is not None else (lo + hi) / 2
+    cap = F(k + 2, 2 * (k + 1))
+    assert c0 <= cap
+    return c0, c0 < cap
+
+
+class TestCaseTable:
+    """threshold_c, c0_lower, positivity_case and the leg classes all read one
+    case table; here each is checked against the table in Fraction arithmetic
+    on every valid (n <= 40, m <= 4, k <= 60)."""
+
+    def test_thresholds_and_base_values_match_the_fraction_table(self):
+        checked = 0
+        for n, m, k in valid_grids(60, 40, 4):
+            if k == 1:
+                for function in (nc.threshold_c, nc.c0_lower):
+                    with pytest.raises(InvalidWeights, match="k >= 2"):
+                        function(n, m, k)
+                continue
+            threshold = nc.threshold_c(n, m, k)
+            assert (threshold.case, threshold.c, threshold.lo, threshold.hi) == \
+                oracle_threshold(n, m, k), (n, m, k)
+            c0, strict = oracle_c0(n, m, k)
+            assert nc.c0_lower(n, m, k) == (c0, strict), (n, m, k)
+            assert positivity._leg_class.__wrapped__(n, min(m, 2), k, None) == \
+                (c0, *nc.ab_substitution(n, m, k, c0)), (n, m, k)
+            checked += 1
+        assert checked > 8000
+
+    def test_positivity_case_matches_the_fraction_table(self):
+        seen = Counter()
+        for n, m, k in valid_grids(60, 40, 4):
+            if oracle_case(n, m, k, F(0), F(0)) is None:
+                with pytest.raises(NoCaseApplies):
+                    nc.positivity_case(n, m, k, F(1), F(1))
+                seen[None] += 1
+                continue
+            # a on each side of, and at, the bound of cases 1 and 2
+            bound = (F(n - 1, (n - k - 1) * (k + 1)) if m == 0
+                     else F(n - 1, n * (k + 1)) if m == 1 else F(1, 3))
+            for a in (F(0), bound, bound + F(1, 7)):
+                for b in (F(0), F(2)):
+                    expected = oracle_case(n, m, k, a, b)
+                    assert nc.positivity_case(n, m, k, a, b) == expected, (n, m, k, a, b)
+                    seen[expected] += 1
+        assert {key[0] for key in seen if key is not None} == {1, 2, 3, 4}
+        assert seen[None] > 0 and all(seen[case, True] and seen[case, False]
+                                      for case in (1, 2, 4))

@@ -291,45 +291,47 @@ def family_gseries(path, a_text, b_text) -> None:
 
 # --- certify ----------------------------------------------------------------------
 
-def _certificate_json(cert: pos.Certificate) -> str:
-    payload = {
+def _certificate_record(cert: pos.Certificate) -> dict:
+    """The fields of a certificate as --json prints them, None where missing."""
+    witness = cert.witness
+    record = {
         "verdict": cert.verdict,
         "n": cert.weights.n,
         "m": cert.weights.m,
         "k": cert.weights.k,
-        "c": format_rational(cert.c),
-        "a": format_rational(cert.a) if cert.a is not None else None,
-        "b": format_rational(cert.b) if cert.b is not None else None,
-        "minimizer": [cert.witness.r1, cert.witness.r2] if cert.witness else None,
-        "minimizer_value": (format_rational(cert.witness.value)
-                            if cert.witness else None),
-        "margin": format_rational(cert.margin) if cert.margin is not None else None,
+        "c": cert.c,
+        "a": cert.a,
+        "b": cert.b,
+        "minimizer": [witness.r1, witness.r2] if witness else None,
+        "minimizer_value": witness.value if witness else None,
+        "margin": cert.margin,
         "strata": [[w.n, w.m, w.k] for w in cert.strata_checked],
         "zero_strata": [[w.n, w.m, w.k] for w in cert.zero_strata],
         "notes": list(cert.notes),
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return {name: format_rational(value) if isinstance(value, Fraction) else value
+            for name, value in record.items()}
+
+
+def _label(counts) -> str:
+    return ",".join(map(str, counts))
 
 
 def _emit_certificate(cert: pos.Certificate, as_json: bool) -> None:
+    """The certificate record as JSON, or as name-value rows and # notes."""
+    record = _certificate_record(cert)
     if as_json:
-        click.echo(_certificate_json(cert), nl=False)
+        click.echo(json.dumps(record, indent=2))
         return
-    click.echo(f"verdict\t{cert.verdict}")
-    click.echo(f"weights\t{cert.weights.label()}")
-    click.echo(f"c\t{format_rational(cert.c)}")
-    click.echo(f"a\t{format_rational(cert.a) if cert.a is not None else '-'}")
-    click.echo(f"b\t{format_rational(cert.b) if cert.b is not None else '-'}")
-    if cert.witness is not None:
-        click.echo(f"minimizer\t{cert.witness.r1},{cert.witness.r2}"
-                   f"\t{format_rational(cert.witness.value)}")
-    else:
-        click.echo("minimizer\t-")
-    click.echo(f"margin\t{format_rational(cert.margin) if cert.margin is not None else '-'}")
-    click.echo("strata\t" + " ".join(w.label() for w in cert.strata_checked))
-    click.echo("zero_strata\t"
-               + (" ".join(w.label() for w in cert.zero_strata) or "-"))
-    for note in cert.notes:
+    rows = dict(record, weights=_label([record["n"], record["m"], record["k"]]),
+                strata=" ".join(map(_label, record["strata"])),
+                zero_strata=" ".join(map(_label, record["zero_strata"])))
+    if record["minimizer"]:
+        rows["minimizer"] = f"{_label(record['minimizer'])}\t{record['minimizer_value']}"
+    for name in ("verdict", "weights", "c", "a", "b", "minimizer", "margin",
+                 "strata", "zero_strata"):
+        click.echo(f"{name}\t{rows[name] or '-'}")
+    for note in record["notes"]:
         click.echo(f"# {note}")
 
 

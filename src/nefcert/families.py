@@ -33,6 +33,7 @@ from .divisors import (
     DivisorClass,
     WeightVector,
     canonical_boundary_key,
+    heavy_counts,
     make_weights,
 )
 from .errors import (
@@ -145,14 +146,13 @@ def validate_family(family: FamilyModel) -> list[str]:
         if not (0 <= step.r2 <= w.m):
             violations.append(f"{path}.r2: {step.r2} out of range 0..{w.m}")
             continue
-        contracted = Fraction(step.r1, w.k) + step.r2
-        if contracted <= 1:
-            violations.append(
-                f"{path}: contracted component weight r1/k + r2 = {contracted} is not > 1")
-        rest = Fraction(w.n - step.r1, w.k) + (w.m - step.r2)
-        if rest <= 1:
-            violations.append(
-                f"{path}: complement weight (n-r1)/k + (m-r2) = {rest} is not > 1")
+        heavy = heavy_counts(w.n, w.m, w.k, step.r1)  # the r2 with both sides above 1
+        if step.r2 < heavy.start:
+            violations.append(f"{path}: contracted component weight r1/k + r2 = "
+                              f"{Fraction(step.r1, w.k) + step.r2} is not > 1")
+        if step.r2 >= heavy.stop:
+            violations.append(f"{path}: complement weight (n-r1)/k + (m-r2) = "
+                              f"{Fraction(w.n - step.r1, w.k) + (w.m - step.r2)} is not > 1")
         if family.mode == CONCRETE:
             if not step.is_concrete:
                 violations.append(f"{path}: concrete family needs explicit section sets")

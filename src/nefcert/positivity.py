@@ -101,29 +101,25 @@ def admissible_pairs(n: int, m: int, k: int) -> list[tuple[int, int]]:
     return [(r1, r2) for r1 in range(n + 1) for r2 in heavy_counts(n, m, k, r1)]
 
 
-def _scan(n: int, m: int, k: int, weights, eps: Mapping[BoundaryKey, Fraction] | None,
-          cells=None) -> DropEvaluation | None:
-    """The first least drop in grid order, shifted by eps at the cells whose
-    canonical key it names, over the admissible (n, m, k) cells or over cells,
-    (r1, r2s) rows in grid order. weights holds (numerator, denominator) of
-    a_sigma, a_tau, a_sigma_tau and a_delta in drop_value's drop, -a_delta +
-    a_sigma*r1(n-r1)/(n-1) + a_tau*r2(m-r2)/(m-1) + a_sigma_tau*(r1(m-r2) +
-    r2(n-r1))/(nm), less the terms families._step_drops sets to 0 (n <= 1,
-    m <= 1, nm = 0); cells are scored in integers over one denominator."""
+def _scan(n: int, m: int, k: int, weights, labels=(), cells=None) -> DropEvaluation | None:
+    """The first least drop in grid order over the admissible (n, m, k) cells or
+    over cells, (r1, r2s) rows in grid order, shifted by value at the cells of
+    key and its complement for the (key, value) labels the caller picked.
+    weights holds (numerator, denominator) of a_sigma, a_tau, a_sigma_tau and
+    a_delta in drop_value's drop, -a_delta + a_sigma*r1(n-r1)/(n-1) +
+    a_tau*r2(m-r2)/(m-1) + a_sigma_tau*(r1(m-r2) + r2(n-r1))/(nm), less the
+    terms families._step_drops sets to 0; all in integers over one denominator."""
     (sn, sd), (tn, td), (xn, xd), (zn, zd) = weights
     sn, sd = (sn, sd * (n - 1)) if n >= 2 else (0, 1)
     tn, td = (tn, td * (m - 1)) if m >= 2 else (0, 1)
     xn, xd = (xn, xd * n * m) if n and m else (0, 1)
-    eps = eps or {}
-    scale = lcm(sd, td, xd, zd, *[value.denominator for value in eps.values()])
+    scale = lcm(sd, td, xd, zd, *[value.denominator for _, value in labels])
     s, t, x, z = sn * (scale // sd), tn * (scale // td), xn * (scale // xd), zn * (scale // zd)
     shifts: dict[int, dict[int, int]] = {}
-    for key, value in eps.items():
-        i, j = key.i, key.j
-        if 0 <= i <= n and 0 <= j <= m and (i, j) <= (n - i, m - j):
-            scaled = value.numerator * (scale // value.denominator)
-            for r1, r2 in ((i, j), (n - i, m - j)):
-                shifts.setdefault(r1, {})[r2] = scaled
+    for key, value in labels:
+        scaled = value.numerator * (scale // value.denominator)
+        for r1, r2 in ((key.i, key.j), (n - key.i, m - key.j)):
+            shifts.setdefault(r1, {})[r2] = scaled
     if cells is None:
         cells = ((r1, heavy_counts(n, m, k, r1)) for r1 in range(n + 1))
     best = best_r1 = best_r2 = None
@@ -160,9 +156,10 @@ def min_drop(n: int, m: int, k: int, coeffs: CoefficientVector,
     no step is admissible at all (every generically smooth family is then a
     step-free ruled-surface family).
     """
-    make_weights(n, m, k)
+    grid = make_weights(n, m, k)
     return _scan(n, m, k, [(value.numerator, value.denominator) for value in (
-        coeffs.a_sigma, coeffs.a_tau, coeffs.a_sigma_tau, coeffs.a_delta)], eps)
+        coeffs.a_sigma, coeffs.a_tau, coeffs.a_sigma_tau, coeffs.a_delta)],
+        _grid_labels(grid, eps or {}))
 
 
 def g_series(family: FamilyModel, coeffs: CoefficientVector) -> list[Fraction]:
@@ -175,6 +172,21 @@ def g_series(family: FamilyModel, coeffs: CoefficientVector) -> list[Fraction]:
     return [coeffs.combine(values) for values in _f_series(family)]
 
 
+def _case_table(n: int, m: int, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The positivity case of (n, m, k) and the (p, q) ends of its certified c:
+    a point in cases 1, 2 and 5, lo and hi in 3 and 4. k is not checked, so
+    positivity_case reads it at k = 1 too; threshold_c and c0_lower do not."""
+    if m == 0:
+        return 1, ((n - 1, 2 * (n - 2)),)
+    if m == 1:
+        if n == k + 1:
+            return 5, ((k + 2, 2 * (k + 1)),)
+        return 2, ((n + 1, 2 * n),)
+    if n >= k + 1:
+        return 4, ((1, 2), (n + 1, 2 * n))
+    return 3, ((1, 2), (k + 2, 2 * (k + 1)))
+
+
 def positivity_case(n: int, m: int, k: int, a, b) -> tuple[int, bool]:
     """Identify the positivity case of (n, m, k) and test its strict hypothesis.
 
@@ -184,20 +196,19 @@ def positivity_case(n: int, m: int, k: int, a, b) -> tuple[int, bool]:
     """
     make_weights(n, m, k)
     a, b = exact(a), exact(b)
-    if m == 0:
+    case = _case_table(n, m, k)[0]
+    if case == 1:
         return 1, a > Fraction(n - 1, (n - k - 1) * (k + 1))
-    if m == 1:
-        if n == k + 1:
-            raise NoCaseApplies(
-                f"(n,m) = ({n},{m}) with k = {k} is the sharp configuration; "
-                "every step-free family pairs to zero at the threshold")
+    if case == 2:
         return 2, a > Fraction(n - 1, n * (k + 1))
-    if 2 <= n <= k:
-        return 3, a > 0 and b > 0
-    if n >= k + 1:
+    if case == 4:
         lhs = Fraction((k + 1) * (n - k - 1), n - 1) * a + Fraction(k + 1, n) * b
         return 4, lhs > 1 and b > 1
+    if case == 3 and n >= 2:
+        return 3, a > 0 and b > 0
     raise NoCaseApplies(
+        f"(n,m) = ({n},{m}) with k = {k} is the sharp configuration; every step-free "
+        "family pairs to zero at the threshold" if case == 5 else
         f"(n,m) = ({n},{m}) with k = {k}: no strict-hypothesis case covers n <= 1")
 
 
@@ -229,28 +240,18 @@ class Threshold:
 
 def threshold_c(n: int, m: int, k: int) -> Threshold:
     """The c value (or interval) at which the ray pairs nonnegatively with
-    every generically smooth family, by case.
+    every generically smooth family, by case (_case_table).
 
     Case 5 is the sharp point (m = 1, n = k+1) where the pairing is exactly
     zero. Weight vectors with m >= 2 and n <= 1 route through case 3: their
     sigma potentials vanish by convention and the same substitution applies.
     """
     make_weights(n, m, k)
-    return _threshold_c(n, m, k)
-
-
-def _threshold_c(n: int, m: int, k: int) -> Threshold:
     if k < 2:
         raise InvalidWeights("thresholds are stated for k >= 2")
-    if m == 0:
-        return Threshold(1, c=Fraction(n - 1, 2 * (n - 2)))
-    if m == 1:
-        if n == k + 1:
-            return Threshold(5, c=Fraction(k + 2, 2 * (k + 1)))
-        return Threshold(2, c=Fraction(n + 1, 2 * n))
-    if n >= k + 1:
-        return Threshold(4, lo=Fraction(1, 2), hi=Fraction(n + 1, 2 * n))
-    return Threshold(3, lo=Fraction(1, 2), hi=Fraction(k + 2, 2 * (k + 1)))
+    case, ends = _case_table(n, m, k)
+    lo, hi = (Fraction(p, q) for p, q in (ends[0], ends[-1]))  # a point is both ends
+    return Threshold(case, c=lo) if lo == hi else Threshold(case, lo=lo, hi=hi)
 
 
 def ab_substitution(n: int, m: int, k: int, c) -> tuple[Fraction, Fraction]:
@@ -274,24 +275,15 @@ def c0_lower(n: int, m: int, k: int) -> tuple[Fraction, bool]:
     """Deterministic base value c0 <= (k+2)/(2(k+1)) with nonnegative pairing.
 
     Point cases return their threshold; interval cases return the interval
-    midpoint. The strict flag is the exact comparison with the cap: it fails
-    for the sharp configuration (k+1, 1) and for (5, 0, 2), where the
-    case-1 threshold meets the cap and step-free families genuinely pair
-    to zero there.
+    midpoint (_leg_class). The strict flag is the exact comparison with the
+    cap: it fails for the sharp configuration (k+1, 1) and for (5, 0, 2),
+    where the case-1 threshold meets the cap and step-free families genuinely
+    pair to zero there.
     """
     make_weights(n, m, k)
-    return _c0_lower(n, m, k)
-
-
-def _c0_lower(n: int, m: int, k: int) -> tuple[Fraction, bool]:
-    threshold = _threshold_c(n, m, k)
-    if threshold.c is not None:
-        c0 = threshold.c
-    else:
-        c0 = (threshold.lo + threshold.hi) / 2
-    cap = Fraction(k + 2, 2 * (k + 1))
-    if c0 > cap:
-        raise NefcertError(f"internal: base value {c0} above the cap {cap}")
+    if k < 2:
+        raise InvalidWeights("thresholds are stated for k >= 2")
+    c0 = _leg_class(n, min(m, 2), k, None)[0]
     return c0, _below_cap(c0, k)
 
 
@@ -342,24 +334,19 @@ def certify_generic(n: int, m: int, k: int, c, *,
     """
     weights = make_weights(n, m, k)
     c = exact(c)
-    if eps:
-        eps = canonical_eps(weights, eps)
-    leg = _leg(weights, c, *ab_substitution(n, m, k, c), eps)
-    a, b, best = leg.a, leg.b, leg.minimum
-    if best is None:
-        return Certificate(
-            ZERO_CHARACTERIZED, weights, c, a, b, None, None, (weights,),
-            zero_strata=(weights,), trace=(leg,),
-            notes=("no admissible blow-down counts: every generically smooth "
-                   "family is step-free and pairs to exactly 0",))
-    verdict = (STRICTLY_POSITIVE if best.value > 0
-               else ZERO_CHARACTERIZED if best.value == 0 else INCONCLUSIVE)
+    labels = canonical_eps(weights, eps).items() if eps else ()
+    leg = _leg(weights, c, *ab_substitution(n, m, k, c), labels)
+    margin = leg.minimum.value if leg.minimum is not None else None
+    drop = margin or 0  # no admissible cell: every family is step-free and pairs to 0
+    verdict = STRICTLY_POSITIVE if drop > 0 else ZERO_CHARACTERIZED if drop == 0 else INCONCLUSIVE
+    notes = ("no admissible blow-down counts: every generically smooth family is step-free "
+             "and pairs to exactly 0" if margin is None else
+             "step-free families pair the combination to exactly 0; "
+             "strictness refers to families with at least one blow-down",)
     return Certificate(
-        verdict, weights, c, a, b, best, best.value, (weights,),
+        verdict, weights, c, leg.a, leg.b, leg.minimum, margin, (weights,),
         zero_strata=(weights,) if verdict == ZERO_CHARACTERIZED else (),
-        trace=(leg,),
-        notes=("step-free families pair the combination to exactly 0; "
-               "strictness refers to families with at least one blow-down",))
+        trace=(leg,), notes=notes)
 
 
 def certify_interval(n: int, m: int, k: int, c) -> Certificate:
@@ -418,13 +405,20 @@ def _key_pair(key) -> tuple[int, int]:
     return (key.i, key.j) if isinstance(key, BoundaryKey) else tuple(key)
 
 
+def _grid_labels(grid: WeightVector, eps: Mapping[BoundaryKey, Fraction]) -> list:
+    """The (key, value) pairs of eps whose key is the canonical key of an
+    admissible cell of grid; a complement or an out-of-grid key labels none."""
+    return [(key, value) for key, value in eps.items()
+            if key.is_canonical(grid) and key.is_admissible(grid)]
+
+
 def _leg(grid: WeightVector, c: Fraction, a: Fraction, b: Fraction,
-         eps: Mapping[BoundaryKey, Fraction] | None, cells=None) -> TraceEntry:
+         labels=(), cells=None) -> TraceEntry:
     """One leg: the first least drop on grid (over cells, by default all) of
-    CoefficientVector.from_ab's (a, b) combination, in integers: a_tau = (m - b)/m."""
+    CoefficientVector.from_ab's (a, b) combination with labels, in integers."""
     m, (pa, qa), (pb, qb) = grid.m, (a.numerator, a.denominator), (b.numerator, b.denominator)
     weights = ((pa, qa), (m * qb - pb, m * qb), (pb, qb), (1, 1))
-    return TraceEntry(grid, c, a, b, _scan(grid.n, m, grid.k, weights, eps, cells))
+    return TraceEntry(grid, c, a, b, _scan(grid.n, m, grid.k, weights, labels, cells))
 
 
 def _grid_shape(n: int, m: int, k: int) -> tuple[int, int]:
@@ -437,12 +431,17 @@ _LEVEL1_C = Fraction(3, 4)  # the c of level 1 in every chain from k >= 2
 
 @lru_cache(maxsize=256)
 def _leg_class(n: int, m: int, k: int, c: Fraction | None) -> tuple[Fraction, Fraction, Fraction]:
-    """(c, a, b) of every leg on an (n, m', k) grid with min(m', 2) = m: the base
-    value c0 of c0_lower for k >= 2, and at k = 1 the given c (3/4 when None)
-    with (a, b) at c capped at 1 on m = 1 grids (see _certify). The legs of a
-    class at one level come one after another, so they share c, a and b."""
+    """(c, a, b) of every leg on an (n, m', k) grid with min(m', 2) = m: for k >= 2
+    c0_lower's base value, the mean of _case_table's two ends of c (a point is
+    both) in integers; at k = 1 the given c (3/4 when None), with (a, b) at c
+    capped at 1 on m = 1 grids (see _certify). The memo lets legs share them."""
     if k > 1:
-        c = _c0_lower(n, m, k)[0]
+        ends = _case_table(n, m, k)[1]
+        (p, q), (r, s) = ends[0], ends[-1]
+        c = Fraction(p * s + r * q, 2 * q * s)
+        if (p * s + r * q) * (k + 1) > (k + 2) * q * s:
+            raise NefcertError(
+                f"internal: base value {c} above the cap {Fraction(k + 2, 2 * (k + 1))}")
         return c, *ab_substitution(n, m, k, c)
     c = _LEVEL1_C if c is None else c
     return c, *ab_substitution(n, m, k, min(c, Fraction(1)) if m else c)
@@ -455,7 +454,7 @@ def _stratum_leg(n: int, m: int, k: int, c: Fraction | None) -> TraceEntry:
     on the regrouped grid (n + m - 1, 1) otherwise."""
     n, m = _grid_shape(n, m, k)
     grid = make_weights(n, m, k)  # the leg's only validation
-    return _leg(grid, *_leg_class(n, min(m, 2), k, c), None)
+    return _leg(grid, *_leg_class(n, min(m, 2), k, c))
 
 
 def _shifted_leg(leg: TraceEntry, eps: Mapping[BoundaryKey, Fraction], unused: set) -> TraceEntry:
@@ -465,22 +464,19 @@ def _shifted_leg(leg: TraceEntry, eps: Mapping[BoundaryKey, Fraction], unused: s
     and the cells eps lowers are scored (none: the leg stands). Otherwise the
     whole grid is scanned again."""
     grid, low = leg.grid, leg.minimum
-    n, m = grid.n, grid.m
-    touched = [(key, value) for key, value in eps.items()
-               if 0 <= key.i <= n and (key.i, key.j) <= (n - key.i, m - key.j)
-               and key.j in heavy_counts(n, m, grid.k, key.i)]
+    touched = _grid_labels(grid, eps)
     if unused and touched:
         unused.difference_update(key for key, _ in touched)
     lowered = set()
     for key, value in touched:
-        cells = {(key.i, key.j), (n - key.i, m - key.j)}
+        cells = {(key.i, key.j), (grid.n - key.i, grid.m - key.j)}
         if value.numerator > 0 and (low.r1, low.r2) in cells:
-            return _leg(grid, leg.c, leg.a, leg.b, eps)
+            return _leg(grid, leg.c, leg.a, leg.b, touched)
         if value.numerator < 0:
             lowered |= cells
     if not lowered:
         return leg
-    return _leg(grid, leg.c, leg.a, leg.b, eps,
+    return _leg(grid, leg.c, leg.a, leg.b, touched,
                 [(r1, (r2,)) for r1, r2 in sorted(lowered | {(low.r1, low.r2)})])
 
 

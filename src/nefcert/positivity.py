@@ -415,7 +415,8 @@ def _grid_labels(grid: WeightVector, eps: Mapping[BoundaryKey, Fraction]) -> lis
 def _leg(grid: WeightVector, c: Fraction, a: Fraction, b: Fraction,
          labels=(), cells=None) -> TraceEntry:
     """One leg: the first least drop on grid (over cells, by default all) of
-    CoefficientVector.from_ab's (a, b) combination with labels, in integers."""
+    CoefficientVector.from_ab's (a, b) combination with labels, in integers:
+    a_tau = (m - b)/m."""
     m, (pa, qa), (pb, qb) = grid.m, (a.numerator, a.denominator), (b.numerator, b.denominator)
     weights = ((pa, qa), (m * qb - pb, m * qb), (pb, qb), (1, 1))
     return TraceEntry(grid, c, a, b, _scan(grid.n, m, grid.k, weights, labels, cells))

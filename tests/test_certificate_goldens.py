@@ -75,6 +75,8 @@ CASES = [
     _certify("5", "0", "2", "2/3", "--generic-only"),
     _readme("class", "dk", "--n", "5", "--m", "0", "--k", "2", "--c", "3/4"),
     _readme("class", "logcanonical", "--n", "6", "--alpha", "1/2"),
+    # the --json branch nests the raw and the normalized class records
+    _readme("class", "logcanonical", "--n", "6", "--alpha", "1/2", "--json"),
     _readme("class", "pull-reduction", "--n", "7", "--m", "0", "--k", "3",
             stdin="# ambient n=7 m=0 k=3\npsi_sigma\t2/3\ndelta_s\t1/3\ndelta\t-1\n"),
     _readme("class", "pull-replacement", "--n", "7", "--m", "0", "--k", "3",

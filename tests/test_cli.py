@@ -370,3 +370,34 @@ class TestEpsKeys:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr.startswith("error: --eps: (1,2) ")
+
+
+class TestInputErrors:
+    """Bad input exits 1 with one message that names the field; a failed
+    fixture exits 2."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["class", "dk", "--n", "x", "--m", "0", "--k", "2", "--c", "3/4"],
+         "error: --n: expected an integer, got 'x'\n"),
+        (["class", "pull-replacement", "--n", "7", "--m", "0", "--k", "3", "--dk"],
+         "error: pull-replacement: --dk needs --c\n"),
+        (["family", "eval", "stable.json", "--dk"], "error: eval: --dk needs --c\n"),
+        (["family", "eval", "stable.json"], "error: eval: need --dk --c or --class-file\n"),
+    ], ids=["integer", "pull-replacement-dk", "eval-dk", "eval-no-class"])
+    def test_message_and_exit_one(self, runner, args, message):
+        with runner.isolated_filesystem():
+            with open("stable.json", "w", encoding="utf-8") as handle:
+                handle.write(STABLE)
+            result = runner.invoke(main, args)
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", message)
+
+    def test_a_failed_fixture_exits_two(self, runner, monkeypatch):
+        monkeypatch.setattr(nc.morphisms, "derive_pushforward_constants",
+                            lambda n: (Fraction(2), Fraction(0)))
+        result = runner.invoke(main, ["fixtures"])
+        assert result.exit_code == 2
+        assert result.stderr == "8 fixture(s) failed\n"
+        failed = [line for line in result.stdout.splitlines() if line.startswith("FAIL")]
+        assert failed[0] == "FAIL\tpushforward-constants\tn=5\texpected (Fraction(2, 1), " \
+            "Fraction(1, 1))\tcomputed (Fraction(2, 1), Fraction(0, 1))"
+        assert len(failed) == 8

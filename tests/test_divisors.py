@@ -13,6 +13,7 @@ from nefcert.errors import (
     InvalidWeights,
     RecordFormatError,
 )
+from nefcert.rational import exact
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=32)
 
@@ -223,6 +224,52 @@ class TestRecordFormat:
         cls = nc.DivisorClass(w, F(2, 4), (), F(0), F(-6, 3), {})
         record = nc.class_to_record(cls)
         assert "psi_sigma\t1/2" in record and "delta\t-2" in record
+
+
+class TestClassErrors:
+    """Each malformed class or record raises one message naming what is wrong."""
+
+    def test_psi_tau_needs_one_entry_per_weight_one_section(self):
+        with pytest.raises(ValueError) as excinfo:
+            nc.DivisorClass(nc.make_weights(3, 2, 2), F(1), (F(1),), F(0), F(-1), {})
+        assert str(excinfo.value) == \
+            "psi_tau needs one entry per weight-one section (2), got 1"
+
+    def test_a_tuple_key_is_a_boundary_key(self):
+        w = nc.make_weights(7, 0, 2)
+        spelled = nc.DivisorClass(w, F(1), (), F(0), F(-1), {(3, 0): F(2)})
+        assert spelled == nc.DivisorClass(w, F(1), (), F(0), F(-1),
+                                          {nc.BoundaryKey(3, 0): F(2)})
+        assert list(spelled.boundary) == [nc.BoundaryKey(3, 0)]
+
+    @pytest.mark.parametrize("key, message", [
+        ((2, 0), "boundary key (2,0) inadmissible on (7,0,2)"),
+        ((4, 0), "boundary key (4,0) is not canonical on (7,0,2)"),
+    ], ids=["inadmissible", "not-canonical"])
+    def test_boundary_keys_must_be_canonical_and_admissible(self, key, message):
+        with pytest.raises(InvalidBoundaryKey) as excinfo:
+            nc.DivisorClass(nc.make_weights(7, 0, 2), F(1), (), F(0), F(-1), {key: F(1)})
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("# ambient\npsi_sigma\n", "line 2: expected 'key value', got 'psi_sigma'"),
+        ("psi_tau[x] 1\n", "bad psi_tau index in 'psi_tau[x]'"),
+    ], ids=["no-value", "psi-tau-index"])
+    def test_record_errors(self, text, message):
+        with pytest.raises(RecordFormatError) as excinfo:
+            nc.class_from_record(text, nc.make_weights(3, 2, 2))
+        assert str(excinfo.value) == message
+
+
+class TestExact:
+    def test_reads_a_rational_literal(self):
+        assert exact("-3/4") == F(-3, 4) and exact("5") == F(5)
+
+    def test_rejects_other_objects(self):
+        value = object()
+        with pytest.raises(TypeError) as excinfo:
+            exact(value)
+        assert str(excinfo.value) == f"cannot interpret {value!r} as an exact rational"
 
 
 class TestFloatRejection:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction as F
@@ -129,6 +130,53 @@ class TestValidate:
                             assert nc.validate_family(family) == expected, (n, m, k, r1, r2)
                             checked += len(expected)
         assert checked > 1000
+
+
+def validation_cases():
+    """(family, its violations) for each message validate_family words."""
+    w7, w31 = nc.make_weights(7, 0, 2), nc.make_weights(3, 1, 2)
+    counted = nc.FamilyModel.abstract(w7, [(3, 0)])
+    terminal = nc.FamilyModel.concrete(w7, (), (0,) * 7)
+    return [
+        (nc.FamilyModel.abstract(nc.make_weights(5, 0, 2), [(3, 1)]),
+         ["steps[0].r2: 1 out of range 0..0"]),
+        (nc.FamilyModel.concrete(w7, [nc.BlowdownStep.abstract(3, 0)], (0,) * 7),
+         ["steps[0]: concrete family needs explicit section sets"]),
+        (nc.FamilyModel.concrete(w7, [nc.BlowdownStep.concrete({0, 1, 2})], (0,) * 7),
+         ["steps[0].sigma: indices outside 1..7"]),
+        (dataclasses.replace(counted, steps=(nc.BlowdownStep.concrete({1, 2, 3}),)),
+         ["steps[0]: abstract family carries section sets"]),
+        (dataclasses.replace(terminal, final_e_tau=None),
+         ["final_e_sigma: concrete family needs terminal self-intersections"]),
+        (nc.FamilyModel.concrete(w7, (), (0,) * 6), ["final_e_sigma: expected 7 entries, got 6"]),
+        (nc.FamilyModel.concrete(w31, (), (0,) * 3, ()), ["final_e_tau: expected 1 entries, got 0"]),
+    ]
+
+
+class TestValidationMessages:
+    @pytest.mark.parametrize("family, violations", validation_cases(),
+                             ids=["r2-range", "concrete-counts", "sigma-range",
+                                  "abstract-sets", "terminal-missing", "sigma-length",
+                                  "tau-length"])
+    def test_each_message(self, family, violations):
+        assert nc.validate_family(family) == violations
+
+    @pytest.mark.parametrize("family, level, message", [
+        (diagonal_family(), 1, "level must lie in 0..0, got 1"),
+        (stable_model(), -1, "level must lie in 0..4, got -1"),
+    ], ids=["above", "below"])
+    def test_levels_outside_the_chain(self, family, level, message):
+        for function in (nc.level_matrix, nc.f_values):
+            with pytest.raises(ValueError) as excinfo:
+                function(family, level)
+            assert str(excinfo.value) == message
+
+    def test_stratified_parts_must_match_their_weights(self):
+        family = diagonal_family()
+        cls = nc.dk_class(family.weights, F(3, 4))
+        with pytest.raises(AmbientMismatch) as excinfo:
+            nc.stratified_evaluate(cls, [(nc.make_weights(5, 0, 1), family)])
+        assert str(excinfo.value) == "part family on (5,0,2) listed under (5,0,1)"
 
 
 class TestLevelMatrix:
@@ -535,3 +583,23 @@ class TestFamilyFiles:
         with pytest.raises(FamilyFormatError) as excinfo:
             nc.family_from_json(text)
         assert fragment in str(excinfo.value)
+
+    @pytest.mark.parametrize("fields, message", [
+        ('"n": "5", "m": 0, "k": 2, "mode": "abstract", "steps": []',
+         "n: expected an integer, got '5'"),
+        ('"n": 5, "m": 0, "k": 2, "mode": "abstract", "steps": {}', "steps: expected a list"),
+        ('"n": 5, "m": 0, "k": 2, "mode": "abstract", "steps": [[3, 0]]',
+         "steps[0]: expected an object"),
+        ('"n": 5, "m": 0, "k": 2, "mode": "concrete", "steps": [{"r1": 3, "r2": 0}], '
+         '"final_e_sigma": [0, 0, 0, 0, 0], "final_e_tau": []',
+         "steps[0]: expected keys sigma, tau"),
+        ('"n": 5, "m": 0, "k": 2, "mode": "concrete", "steps": [], '
+         '"final_e_sigma": 0, "final_e_tau": []', "final_e_sigma: expected a list of integers"),
+        ('"n": 5, "m": 0, "k": 2, "mode": "abstract", "steps": [], "final_e_tau": []',
+         "final_e_sigma: not allowed on abstract families"),
+    ], ids=["integer", "steps-list", "step-object", "concrete-keys", "integer-list",
+            "abstract-terminal-tau"])
+    def test_type_errors_name_the_field(self, fields, message):
+        with pytest.raises(FamilyFormatError) as excinfo:
+            nc.family_from_json("{" + fields + "}")
+        assert str(excinfo.value) == message

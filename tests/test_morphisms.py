@@ -20,6 +20,11 @@ class TestMorphismSpec:
         spec = nc.MorphismSpec.reduction_from_unweighted(nc.make_weights(5, 2, 3))
         assert spec.source == nc.make_weights(7, 0, 1)
 
+    def test_reduction_from_unweighted_needs_k_at_least_two(self):
+        with pytest.raises(InvalidWeights) as excinfo:
+            nc.MorphismSpec.reduction_from_unweighted(nc.make_weights(5, 0, 1))
+        assert str(excinfo.value) == "reduction from the unweighted space needs k >= 2"
+
     def test_reduction_step(self):
         spec = nc.MorphismSpec.reduction_step(nc.make_weights(7, 0, 3))
         assert spec.source == nc.make_weights(7, 0, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib.util
 import itertools
@@ -276,6 +277,12 @@ class TestReachableStrata:
             for n1, m1 in strata:
                 nc.make_weights(n1, m1, k)
                 assert n1 + m1 <= n + m
+
+    def test_the_root_comes_last_and_once(self):
+        # the certification reads the root's leg as the top level's last leg
+        for n, m, k in valid_grids(10, 30, 8):
+            strata = nc.reachable_strata(n, m, k)
+            assert strata[-1] == (n, m) and strata.count((n, m)) == 1, (n, m, k)
 
 
 class TestCertifyGeneric:
@@ -581,6 +588,52 @@ class TestTransportMemo:
 
     def test_memo_is_bounded(self):
         assert positivity._check_transport.cache_info().maxsize == 4096
+
+
+def negative_leg(monkeypatch, shape):
+    """Serve the eps-free leg of grid shape (n, m, k) with its least drop set
+    to -1; the memo itself keeps the true leg."""
+    memo = positivity._cached_stratum_leg
+
+    def patched(n, m, k, c):
+        leg = memo(n, m, k, c)
+        if (n, m, k) != shape:
+            return leg
+        low = leg.minimum
+        return dataclasses.replace(leg, minimum=positivity.DropEvaluation(low.r1, low.r2, F(-1)))
+
+    monkeypatch.setattr(positivity, "_cached_stratum_leg", patched)
+
+
+class TestInconclusiveFold:
+    """One negative leg, at level 1, at a base level or below the upper
+    endpoint, makes the certificate inconclusive with its level's note."""
+
+    @pytest.mark.parametrize("n, m, k, c, shape, notes", [
+        (7, 0, 1, F(3, 4), (7, 0, 1),
+         ("a stratum drop table reaches a negative value",)),
+        (5, 2, 1, F(4, 5), (6, 1, 1),  # the root's regrouped grid
+         ("a stratum drop table reaches a negative value",)),
+        (7, 0, 2, F(7, 10), (7, 0, 2),
+         ("a stratum base certificate has a negative drop",)),
+        (9, 2, 4, F(61, 100), (7, 1, 4),
+         ("a stratum base certificate has a negative drop",)),
+        (7, 0, 2, F(7, 10), (7, 0, 1),
+         ("upper-endpoint certificate failed; no convex combination available",)),
+        (7, 0, 2, F(3, 4), (7, 0, 1),
+         ("transported to k = 1 with vanishing exceptional coefficient",
+          "lower-level certificate does not confine zeros to collapsed curves")),
+    ], ids=["level-1", "level-1-regrouped", "base-level", "base-level-k-4",
+            "interior-above-level-1", "upper-endpoint"])
+    def test_one_negative_leg(self, monkeypatch, n, m, k, c, shape, notes):
+        honest = nc.certify_interval(n, m, k, c)
+        assert honest.verdict == STRICTLY_POSITIVE
+        negative_leg(monkeypatch, shape)
+        cert = nc.certify_interval(n, m, k, c)
+        assert (cert.verdict, cert.notes, cert.margin) == (INCONCLUSIVE, notes, F(-1))
+        assert cert.zero_strata == ()
+        monkeypatch.undo()
+        assert nc.certify_interval(n, m, k, c) == honest
 
 
 class TestLongChains:

@@ -62,8 +62,9 @@ def _weights(n: str, m: str, k: str):
     return make_weights(_int(n, "--n"), _int(m, "--m"), _int(k, "--k"))
 
 
-def _class_json(cls) -> str:
-    payload = {
+def _class_record(cls) -> dict:
+    """The fields of a class as --json prints them."""
+    return {
         "n": cls.ambient.n,
         "m": cls.ambient.m,
         "k": cls.ambient.k,
@@ -74,12 +75,11 @@ def _class_json(cls) -> str:
         "boundary": {key.label(): format_rational(value)
                      for key, value in sorted(cls.boundary.items())},
     }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _emit_class(cls, as_json: bool) -> None:
     if as_json:
-        click.echo(_class_json(cls), nl=False)
+        click.echo(json.dumps(_class_record(cls), indent=2))
     else:
         click.echo(f"# ambient n={cls.ambient.n} m={cls.ambient.m} k={cls.ambient.k}")
         click.echo(class_to_record(cls), nl=False)
@@ -140,9 +140,9 @@ def class_logcanonical(n, alpha_text, as_json) -> None:
     form = log_canonical_class(_int(n, "--n"), alpha)
     if as_json:
         payload = {
-            "raw": json.loads(_class_json(form.raw)),
+            "raw": _class_record(form.raw),
             "normalized_c": format_rational(form.c),
-            "normalized": json.loads(_class_json(form.normalized)),
+            "normalized": _class_record(form.normalized),
         }
         click.echo(json.dumps(payload, indent=2))
         return
@@ -443,13 +443,13 @@ def fixtures(ctx) -> None:
 
     for k in range(2, 21):
         n = 2 * k + 1
-        c = Fraction(k + 1, 2 * k)
+        c = pos.ample_interval(k)[1]
         transported = mor.pullback_reduction(dk_class(make_weights(n, 0, k), c))
         check("reduction-functoriality", f"k={k}",
               dk_class(make_weights(n, 0, k - 1), c), transported)
 
     for k in range(2, 11):
-        c0 = Fraction(k + 1, 2 * k)
+        c0 = pos.ample_interval(k)[1]
         for eps in (Fraction(1, 100), Fraction(1, 7)):
             pulled = mor.pullback_replacement(
                 dk_class(make_weights(2 * k + 1, 1, k), c0 + eps))
@@ -460,7 +460,7 @@ def fixtures(ctx) -> None:
         n = 2 * k + 1
         parts = mor.pullback_test_curve(n, 0, k)
         value = fam.stratified_evaluate(
-            dk_class(make_weights(n, 0, k - 1), Fraction(k + 1, 2 * k)), parts)
+            dk_class(make_weights(n, 0, k - 1), pos.ample_interval(k)[1]), parts)
         check("contracted-curve-zero", f"k={k}", Fraction(0), value)
 
     if failures:

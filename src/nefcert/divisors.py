@@ -57,6 +57,11 @@ def nonempty_moduli(n: int, m: int, k: int) -> bool:
     return n + m * k > 2 * k
 
 
+def least_nonempty_m(n: int, k: int) -> int:
+    """The least integer m with nonempty_moduli(n, m, k): m*k > 2k - n."""
+    return (2 * k - n) // k + 1
+
+
 def heavy_counts(n: int, m: int, k: int, i: int) -> range:
     """The j for which i light and j heavy sections split (n, m, k) into two
     sides of weight > 1; i must lie in 0..n.
@@ -309,11 +314,8 @@ def class_from_record(text: str, ambient: WeightVector) -> DivisorClass:
         except ValueError as err:
             raise RecordFormatError(f"{key}: {err}") from None
     zero = Fraction(0)
-    try:
-        return DivisorClass(
-            ambient, values.get("psi_sigma", zero),
-            tuple(values.get(idx, zero) for idx in range(1, ambient.m + 1)),
-            values.get("delta_s", zero), values.get("delta", zero),
-            {key: value for key, value in values.items() if isinstance(key, BoundaryKey)})
-    except ValueError as err:
-        raise RecordFormatError(str(err)) from None
+    return DivisorClass(
+        ambient, values.get("psi_sigma", zero),
+        tuple(values.get(idx, zero) for idx in range(1, ambient.m + 1)),
+        values.get("delta_s", zero), values.get("delta", zero),
+        {key: value for key, value in values.items() if isinstance(key, BoundaryKey)})

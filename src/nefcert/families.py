@@ -92,11 +92,12 @@ class FamilyModel:
     """Blow-down chain over a terminal ruled surface.
 
     steps[0] is adjacent to the actual family (level 0); steps[-1] is the
-    last contraction onto the terminal surface (level N).
+    last contraction onto the terminal surface (level N). The mode is read
+    from the terminal data: concrete when either tuple of self-intersections
+    is set (concrete sets both), abstract when neither is.
     """
 
     weights: WeightVector
-    mode: str
     steps: tuple[BlowdownStep, ...]
     final_e_sigma: tuple[int, ...] | None = None
     final_e_tau: tuple[int, ...] | None = None
@@ -105,15 +106,17 @@ class FamilyModel:
     def concrete(cls, weights: WeightVector, steps: Sequence[BlowdownStep],
                  final_e_sigma: Sequence[int],
                  final_e_tau: Sequence[int] = ()) -> "FamilyModel":
-        return cls(weights, CONCRETE, tuple(steps),
-                   tuple(int(e) for e in final_e_sigma),
+        return cls(weights, tuple(steps), tuple(int(e) for e in final_e_sigma),
                    tuple(int(e) for e in final_e_tau))
 
     @classmethod
     def abstract(cls, weights: WeightVector,
                  counts: Sequence[tuple[int, int]]) -> "FamilyModel":
-        return cls(weights, ABSTRACT,
-                   tuple(BlowdownStep.abstract(r1, r2) for r1, r2 in counts))
+        return cls(weights, tuple(BlowdownStep.abstract(r1, r2) for r1, r2 in counts))
+
+    @property
+    def mode(self) -> str:
+        return ABSTRACT if self.final_e_sigma is None and self.final_e_tau is None else CONCRETE
 
     @property
     def n_steps(self) -> int:
@@ -135,9 +138,6 @@ def validate_family(family: FamilyModel) -> list[str]:
     """All invariant violations, each naming the offending step or matrix entry."""
     w = family.weights
     violations: list[str] = []
-    if family.mode not in (CONCRETE, ABSTRACT):
-        return [f"mode: expected '{CONCRETE}' or '{ABSTRACT}', got {family.mode!r}"]
-
     for idx, step in enumerate(family.steps):
         path = f"steps[{idx}]"
         if not (0 <= step.r1 <= w.n):
@@ -165,8 +165,6 @@ def validate_family(family: FamilyModel) -> list[str]:
             violations.append(f"{path}: abstract family carries section sets")
 
     if family.mode == ABSTRACT:
-        if family.final_e_sigma is not None or family.final_e_tau is not None:
-            violations.append("final_e_sigma: terminal data on an abstract family")
         return violations
 
     if family.final_e_sigma is None or family.final_e_tau is None:
@@ -522,7 +520,7 @@ def family_from_json(text: str) -> FamilyModel:
     if mode == ABSTRACT:
         if "final_e_sigma" in payload or "final_e_tau" in payload:
             raise FamilyFormatError("final_e_sigma: not allowed on abstract families")
-        return FamilyModel(weights, ABSTRACT, tuple(steps))
+        return FamilyModel(weights, tuple(steps))
     for field in ("final_e_sigma", "final_e_tau"):
         if field not in payload:
             raise FamilyFormatError(f"{field}: missing (required for concrete families)")

@@ -25,17 +25,12 @@ from .divisors import (
 from .errors import AmbientMismatch, InvalidWeights, UnsupportedCoefficient
 from .families import BlowdownStep, FamilyModel, intersection_numbers
 
-REDUCTION_FROM_UNWEIGHTED = "reduction_from_unweighted"
-REDUCTION_STEP = "reduction_step"
-REPLACEMENT = "replacement"
-
 
 @dataclass(frozen=True)
 class MorphismSpec:
-    """A named map between two weighted spaces, with its source derived
-    from the target."""
+    """A map between two weighted spaces, named by the classmethod that
+    builds it, with its source derived from the target."""
 
-    kind: str
     source: WeightVector
     target: WeightVector
 
@@ -44,14 +39,14 @@ class MorphismSpec:
         if target.k < 2:
             raise InvalidWeights("reduction from the unweighted space needs k >= 2")
         source = make_weights(target.n + target.m, 0, 1)
-        return cls(REDUCTION_FROM_UNWEIGHTED, source, target)
+        return cls(source, target)
 
     @classmethod
     def reduction_step(cls, target: WeightVector) -> "MorphismSpec":
         if target.k < 2:
             raise InvalidWeights("a reduction step needs k >= 2")
         source = make_weights(target.n, target.m, target.k - 1)
-        return cls(REDUCTION_STEP, source, target)
+        return cls(source, target)
 
     @classmethod
     def replacement(cls, target: WeightVector) -> "MorphismSpec":
@@ -59,7 +54,7 @@ class MorphismSpec:
             raise InvalidWeights(
                 "replacement needs at least k light sections to merge")
         source = make_weights(target.n - target.k, target.m + 1, target.k)
-        return cls(REPLACEMENT, source, target)
+        return cls(source, target)
 
 
 def _require_tautological(cls: DivisorClass, what: str) -> None:

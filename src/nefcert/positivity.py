@@ -21,6 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from random import Random
 from typing import Mapping
@@ -31,6 +32,7 @@ from .divisors import (
     canonical_boundary_key,
     dk_class,
     heavy_counts,
+    least_nonempty_m,
     make_weights,
 )
 from .errors import (
@@ -312,7 +314,7 @@ def reachable_strata(n: int, m: int, k: int) -> list[tuple[int, int]]:
     """
     make_weights(n, m, k)
     return [(a, b) for a in range(n + 1)
-            for b in range(max(1, (2 * k - a) // k + 1),  # a + b*k > 2k
+            for b in range(max(1, least_nonempty_m(a, k)),
                            (m + (n - a) // (k + 1) if a < n else m - 1) + 1)] + [(n, m)]
 
 
@@ -427,7 +429,7 @@ def _grid_shape(n: int, m: int, k: int) -> tuple[int, int]:
     return (n + m - 1, 1) if k == 1 and m else (n, m)
 
 
-_LEVEL1_C = Fraction(3, 4)  # the c of level 1 in every chain from k >= 2
+_LEVEL1_C = ample_interval(2)[1]  # the c of level 1 in every chain from k >= 2
 
 
 @lru_cache(maxsize=256)
@@ -529,7 +531,7 @@ _TRANSPORT_CACHE_SIZE = 4096  # passed checks, ~150 B each; a failure raises eve
 def _check_transport(n: int, m: int, k: int) -> None:
     """At c = (k+1)/(2k) the pulled-back ray from level k has exceptional
     coefficient exactly 0, so it equals the same ray one level down."""
-    c = Fraction(k + 1, 2 * k)
+    c = ample_interval(k)[1]
     if (pullback_reduction(dk_class(make_weights(n, m, k), c))
             != dk_class(make_weights(n, m, k - 1), c)):
         raise NefcertError("internal: endpoint transport identity failed")
@@ -589,10 +591,12 @@ def _certify(n: int, m: int, k: int, c: Fraction,
     Collision classes do not exist at k = 1, so there the combination
     matches the ray for every c.
 
-    The levels' legs, strata and trace are listed from level k down; the
-    verdicts then fold from level 1 up. The witness of every level is the
-    first least drop of its part of the trace and the margin its value, so
-    a level's own legs enter its verdict only through their least drop.
+    Each visited level keeps one record, from level k down: its legs, its
+    strata, their first least drop (the level's witness, its value the margin;
+    the legs enter the verdict only through it) and its zero strata or
+    carriers. The verdicts fold from level 1 up, the trace and the strata
+    flatten the records, and (a, b) come from the root's leg, the top level's
+    last (reachable_strata lists (n, m) last).
     """
     weights = make_weights(n, m, k)
     lo, hi = ample_interval(k)
@@ -603,10 +607,7 @@ def _certify(n: int, m: int, k: int, c: Fraction,
         raise COutOfInterval(
             f"certified interval for k = {k} is [{lo}, {hi}], got {c}")
 
-    trace: list[TraceEntry] = []
-    strata: list[WeightVector] = []
-    levels = []  # (level, first least drop, zero strata or carriers), level k first
-    root = None
+    levels = []  # (level, legs, strata, first least drop, zeros), level k first
     unused = set(eps or ())
     # below the top, a level is reached at the upper endpoint of the level
     # above: its own lower endpoint for level >= 2, and 3/4 at level 1, the
@@ -619,7 +620,7 @@ def _certify(n: int, m: int, k: int, c: Fraction,
             continue
         at_lo = level < k or c == lo
         best = None
-        zeros: list[WeightVector] = []
+        legs, strata, zeros = [], [], []
         for n1, m1 in reachable_strata(n, m, level):
             shape = _grid_shape(n1, m1, level)  # the leg key: strata of one grid share it
             leg = _cached_stratum_leg(*shape, level, leg_c)
@@ -627,7 +628,8 @@ def _certify(n: int, m: int, k: int, c: Fraction,
                 leg = _shifted_leg(leg, eps, unused)
             low = leg.minimum
             if level == 1:
-                stratum = _cached_weights(n1, m1, 1) if m1 else leg.grid
+                # (n1, 1) regroups to itself: only m1 >= 2 strata differ from their grid
+                stratum = _cached_weights(n1, m1, 1) if m1 >= 2 else leg.grid
                 if low is not None and low.value == 0:
                     zeros.append(stratum)
             else:
@@ -639,18 +641,16 @@ def _certify(n: int, m: int, k: int, c: Fraction,
             if low is not None and (best is None or low.value.numerator * least_den
                                     < least_num * low.value.denominator):
                 best, least_num, least_den = low, low.value.numerator, low.value.denominator
-            if level == k and (n1, m1) == (n, m):
-                root = leg
+            legs.append(leg)
             strata.append(stratum)
-            trace.append(leg)
-        levels.append((level, best, zeros))
+        levels.append((level, legs, strata, best, zeros))
     if unused:
         raise InvalidBoundaryKey(
             f"({min(unused).label()}) is the canonical key of no admissible cell in "
             f"any grid visited from ({weights.label()})")
 
     verdict, zero_strata, witness = None, (), None
-    for level, best, zeros in reversed(levels):
+    for level, _, _, best, zeros in reversed(levels):
         least = best.value if best is not None else None
         if level == 1:
             verdict, notes = _k1_verdict(least, zeros)
@@ -671,7 +671,9 @@ def _certify(n: int, m: int, k: int, c: Fraction,
         if not strict:
             notes += ("lower-level certificate does not confine zeros to collapsed curves",)
         a = b = None
-    else:
-        a, b = root.a, root.b
-    return Certificate(verdict, weights, c, a, b, witness, margin, tuple(strata),
-                       zero_strata=zero_strata, trace=tuple(trace), notes=notes)
+    else:  # from the root's leg, the top level's last
+        a, b = levels[0][1][-1].a, levels[0][1][-1].b
+    return Certificate(verdict, weights, c, a, b, witness, margin,
+                       tuple(chain.from_iterable(record[2] for record in levels)),
+                       zero_strata=zero_strata, notes=notes,
+                       trace=tuple(chain.from_iterable(record[1] for record in levels)))

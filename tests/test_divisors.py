@@ -13,6 +13,7 @@ from nefcert.errors import (
     InvalidWeights,
     RecordFormatError,
 )
+from nefcert.divisors import least_nonempty_m, nonempty_moduli
 from nefcert.rational import exact
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=32)
@@ -38,6 +39,14 @@ class TestWeights:
     def test_integrality(self):
         with pytest.raises(InvalidWeights):
             nc.make_weights(5.0, 0, 2)
+
+    def test_least_nonempty_m_agrees_with_nonempty_moduli(self):
+        # reachable_strata reads the least weight-one count of a stratum from it
+        for k in range(1, 13):
+            for n in range(41):
+                least = least_nonempty_m(n, k)
+                for m in range(-3, 12):
+                    assert nonempty_moduli(n, m, k) == (m >= least), (n, m, k)
 
 
 class TestBoundaryKey:

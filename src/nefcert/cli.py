@@ -361,12 +361,8 @@ def certify(ctx, n, m, k, c_text, eps_entries, generic_only, as_json) -> None:
         eps[key] = _rat(tail, "--eps")
     try:
         eps = pos.canonical_eps(weights, eps)
-        if generic_only:
-            cert = pos.certify_generic(weights.n, weights.m, weights.k, c, eps=eps)
-        elif eps:
-            cert = pos.perturbed_certify(weights.n, weights.m, weights.k, c, eps)
-        else:
-            cert = pos.certify_interval(weights.n, weights.m, weights.k, c)
+        certifier = pos.certify_generic if generic_only else pos.perturbed_certify
+        cert = certifier(weights.n, weights.m, weights.k, c, eps=eps)
     except InvalidBoundaryKey as err:
         _fail(f"--eps: {err}")
     _emit_certificate(cert, as_json)

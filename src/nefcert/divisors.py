@@ -17,6 +17,7 @@ from .errors import (
     AlphaOutOfRange,
     AmbientMismatch,
     InvalidBoundaryKey,
+    InvalidValue,
     InvalidWeights,
     RecordFormatError,
     UnequalTauCoefficients,
@@ -100,14 +101,42 @@ class BoundaryKey:
         return f"{self.i},{self.j}"
 
 
-def canonical_boundary_key(ambient: WeightVector, i: int, j: int) -> BoundaryKey:
-    """Admissibility-checked key, normalized so (i, j) <= (n-i, m-j) lexicographically."""
-    key = BoundaryKey(i, j)
+def _canonical_key(ambient: WeightVector, key: BoundaryKey) -> BoundaryKey:
+    """key's canonical spelling on ambient, after the admissibility check."""
     if not key.is_admissible(ambient):
         raise InvalidBoundaryKey(
-            f"({i},{j}) is not a boundary divisor on ({ambient.label()}): "
+            f"({key.label()}) is not a boundary divisor on ({ambient.label()}): "
             "both sides must carry weight > 1")
     return key if key.is_canonical(ambient) else key.complement(ambient)
+
+
+def canonical_boundary_key(ambient: WeightVector, i: int, j: int) -> BoundaryKey:
+    """The key of the boundary divisor (i, j), or of its complement, on ambient:
+    the spelling with (i, j) <= (n-i, m-j) lexicographically; admissibility-checked."""
+    return _canonical_key(ambient, BoundaryKey(i, j))
+
+
+def _as_key(key) -> BoundaryKey:
+    """key itself when it is a BoundaryKey, else the BoundaryKey of an (i, j) pair."""
+    return key if isinstance(key, BoundaryKey) else BoundaryKey(*key)
+
+
+def canonical_boundary(ambient: WeightVector,
+                       boundary: Mapping | None) -> dict[BoundaryKey, Fraction]:
+    """boundary, keyed by BoundaryKeys or (i, j) pairs, with exact values under
+    the canonical keys of ambient: the one reader of root boundary keys, for
+    DivisorClass and positivity.canonical_eps. A key and its complement name
+    one divisor, so they may not both be given; an inadmissible key raises."""
+    cleaned: dict[BoundaryKey, Fraction] = {}
+    for key, value in dict(boundary or {}).items():
+        key = _as_key(key)
+        canonical = _canonical_key(ambient, key)
+        if canonical in cleaned:
+            raise InvalidBoundaryKey(
+                f"({key.label()}) and another key name the same boundary divisor "
+                f"({canonical.label()}) on ({ambient.label()})")
+        cleaned[canonical] = exact(value)
+    return cleaned
 
 
 @dataclass(frozen=True)
@@ -116,8 +145,10 @@ class DivisorClass:
 
     psi_tau is stored per weight-one section (length m) so that the section
     replacement map, which singles out the last entry, stays expressible.
-    Boundary coefficients are keyed by canonical admissible keys; exact
-    zeros are dropped so componentwise equality is meaningful.
+    Boundary keys may spell a divisor either way (canonical_boundary): they are
+    stored canonically, and a key given with its complement raises
+    InvalidBoundaryKey. Exact zeros are dropped so componentwise equality is
+    meaningful.
     """
 
     ambient: WeightVector
@@ -133,23 +164,12 @@ class DivisorClass:
         object.__setattr__(self, "delta", exact(self.delta))
         object.__setattr__(self, "psi_tau", tuple(exact(v) for v in self.psi_tau))
         if len(self.psi_tau) != self.ambient.m:
-            raise ValueError(
+            raise InvalidValue(
                 f"psi_tau needs one entry per weight-one section "
                 f"({self.ambient.m}), got {len(self.psi_tau)}")
-        cleaned: dict[BoundaryKey, Fraction] = {}
-        for key, value in dict(self.boundary or {}).items():
-            if not isinstance(key, BoundaryKey):
-                key = BoundaryKey(*key)
-            value = exact(value)
-            if not key.is_admissible(self.ambient):
-                raise InvalidBoundaryKey(
-                    f"boundary key ({key.label()}) inadmissible on ({self.ambient.label()})")
-            if not key.is_canonical(self.ambient):
-                raise InvalidBoundaryKey(
-                    f"boundary key ({key.label()}) is not canonical on ({self.ambient.label()})")
-            if value != 0:
-                cleaned[key] = value
-        object.__setattr__(self, "boundary", cleaned)
+        object.__setattr__(self, "boundary", {
+            key: value for key, value in canonical_boundary(self.ambient, self.boundary).items()
+            if value != 0})
 
     def tau_coefficient(self) -> Fraction | None:
         """The common psi_tau value, or None when m = 0.
@@ -224,7 +244,7 @@ def log_canonical_class(n: int, alpha) -> LogCanonicalForm:
 def class_combine(terms: Sequence[tuple[object, DivisorClass]]) -> DivisorClass:
     """Exact linear combination sum(scalar * class) over a shared ambient."""
     if not terms:
-        raise ValueError("class_combine needs at least one term")
+        raise InvalidValue("class_combine needs at least one term")
     ambient = terms[0][1].ambient
     psi_sigma = Fraction(0)
     psi_tau = [Fraction(0)] * ambient.m

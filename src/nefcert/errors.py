@@ -5,6 +5,10 @@ class NefcertError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidValue(NefcertError, ValueError):
+    """An argument of the right type whose value the operation does not accept."""
+
+
 class InvalidWeights(NefcertError):
     """Weight data violates m + n/k > 2 or basic range constraints."""
 

@@ -42,12 +42,15 @@ from .errors import (
     ConcreteOnly,
     FamilyFormatError,
     InvalidCoefficients,
+    InvalidValue,
     ShapeNotFunctorial,
 )
 from .rational import exact
 
 CONCRETE = "concrete"
 ABSTRACT = "abstract"
+# FamilyModel's terminal self-intersections, light then heavy sections
+_TERMINAL = ("final_e_sigma", "final_e_tau")
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class BlowdownStep:
 
     def __post_init__(self) -> None:
         if (self._counts is None) != self.is_concrete:
-            raise ValueError("a step holds either both section sets or only its counts")
+            raise InvalidValue("a step holds either both section sets or only its counts")
 
     @classmethod
     def concrete(cls, sigma: Iterable[int], tau: Iterable[int] = ()) -> "BlowdownStep":
@@ -167,27 +170,20 @@ def validate_family(family: FamilyModel) -> list[str]:
     if family.mode == ABSTRACT:
         return violations
 
-    if family.final_e_sigma is None or family.final_e_tau is None:
-        violations.append("final_e_sigma: concrete family needs terminal self-intersections")
-        return violations
-    if len(family.final_e_sigma) != w.n:
-        violations.append(
-            f"final_e_sigma: expected {w.n} entries, got {len(family.final_e_sigma)}")
-        return violations
-    if len(family.final_e_tau) != w.m:
-        violations.append(
-            f"final_e_tau: expected {w.m} entries, got {len(family.final_e_tau)}")
-        return violations
-
-    all_e = list(family.final_e_sigma) + list(family.final_e_tau)
-    if all_e:
-        parity = all_e[0] % 2
-        for pos, e in enumerate(all_e):
-            if e % 2 != parity:
-                field = ("final_e_sigma" if pos < w.n else "final_e_tau")
-                offset = pos if pos < w.n else pos - w.n
-                violations.append(
-                    f"{field}[{offset}]: parity differs from the other self-intersections")
+    terminal = []  # (field, self-intersections), light sections first
+    for field, size in zip(_TERMINAL, (w.n, w.m)):
+        entries = getattr(family, field)
+        if entries is None:
+            violations.append(f"{field}: concrete family needs terminal self-intersections")
+            return violations
+        if len(entries) != size:
+            violations.append(f"{field}: expected {size} entries, got {len(entries)}")
+            return violations
+        terminal.append((field, entries))
+    parity = next((e % 2 for _, entries in terminal for e in entries), None)
+    violations += [f"{field}[{offset}]: parity differs from the other self-intersections"
+                   for field, entries in terminal for offset, e in enumerate(entries)
+                   if e % 2 != parity]
 
     if violations:
         return violations
@@ -221,13 +217,13 @@ def _sweep(family: FamilyModel, lowest: int = 0, potentials: bool = True):
     """
     n_steps = family.n_steps
     if not 0 <= lowest <= n_steps:
-        raise ValueError(f"level must lie in 0..{n_steps}, got {lowest}")
+        raise InvalidValue(f"level must lie in 0..{n_steps}, got {lowest}")
     w = family.weights
     matrix = None
     if family.mode == CONCRETE:
         e = list(family.final_e_sigma) + list(family.final_e_tau)
         if len({v % 2 for v in e}) > 1:
-            raise ValueError("terminal self-intersections have mixed parities")
+            raise InvalidValue("terminal self-intersections have mixed parities")
         matrix = [[(ex + ey) // 2 for ey in e] for ex in e]
         light, heavy = set(range(1, w.n + 1)), set(range(1, w.m + 1))
     values = (Fraction(0),) * 4 if potentials else None
@@ -238,7 +234,8 @@ def _sweep(family: FamilyModel, lowest: int = 0, potentials: bool = True):
             if not (step.sigma <= light and step.tau <= heavy):
                 name, outside, size = (("sigma", step.sigma - light, w.n) if step.sigma - light
                                        else ("tau", step.tau - heavy, w.m))
-                raise ValueError(f"steps[{level}].{name}: index {min(outside)} outside 1..{size}")
+                raise InvalidValue(
+                    f"steps[{level}].{name}: index {min(outside)} outside 1..{size}")
             members = {s - 1 for s in step.sigma} | {w.n + t - 1 for t in step.tau}
             for x in members:
                 row = matrix[x]
@@ -487,7 +484,7 @@ def family_from_json(text: str) -> FamilyModel:
     for field in ("n", "m", "k", "mode", "steps"):
         if field not in payload:
             raise FamilyFormatError(f"{field}: missing")
-    known = {"n", "m", "k", "mode", "steps", "final_e_sigma", "final_e_tau"}
+    known = {"n", "m", "k", "mode", "steps", *_TERMINAL}
     for field in payload:
         if field not in known:
             raise FamilyFormatError(f"{field}: unknown field")
@@ -517,13 +514,12 @@ def family_from_json(text: str) -> FamilyModel:
             steps.append(BlowdownStep.abstract(
                 _want_int(entry["r1"], f"{path}.r1"),
                 _want_int(entry["r2"], f"{path}.r2")))
-    if mode == ABSTRACT:
-        if "final_e_sigma" in payload or "final_e_tau" in payload:
-            raise FamilyFormatError("final_e_sigma: not allowed on abstract families")
-        return FamilyModel(weights, tuple(steps))
-    for field in ("final_e_sigma", "final_e_tau"):
-        if field not in payload:
+    for field in _TERMINAL:
+        if mode == ABSTRACT and field in payload:
+            raise FamilyFormatError(f"{field}: not allowed on abstract families")
+        if mode == CONCRETE and field not in payload:
             raise FamilyFormatError(f"{field}: missing (required for concrete families)")
-    return FamilyModel.concrete(weights, steps,
-                                _want_int_list(payload["final_e_sigma"], "final_e_sigma"),
-                                _want_int_list(payload["final_e_tau"], "final_e_tau"))
+    if mode == ABSTRACT:
+        return FamilyModel(weights, tuple(steps))
+    return FamilyModel.concrete(weights, steps, *[
+        _want_int_list(payload[field], field) for field in _TERMINAL])

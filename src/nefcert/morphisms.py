@@ -19,7 +19,6 @@ from .divisors import (
     BoundaryKey,
     DivisorClass,
     WeightVector,
-    canonical_boundary_key,
     make_weights,
 )
 from .errors import AmbientMismatch, InvalidWeights, UnsupportedCoefficient
@@ -97,9 +96,9 @@ def pullback_reduction(cls: DivisorClass) -> DivisorClass:
     f_coefficient = (-k * cls.psi_sigma
                      + comb(k, 2) * cls.delta_s
                      - cls.delta)
-    boundary: dict[BoundaryKey, Fraction] = {}
+    boundary = {}
     if f_coefficient != 0 and BoundaryKey(k, 0).is_admissible(spec.source):
-        boundary[canonical_boundary_key(spec.source, k, 0)] = f_coefficient
+        boundary = {(k, 0): f_coefficient}  # DivisorClass spells it canonically
     return DivisorClass(spec.source, cls.psi_sigma, cls.psi_tau,
                         cls.delta_s, cls.delta, boundary)
 

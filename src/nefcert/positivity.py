@@ -29,15 +29,17 @@ from typing import Mapping
 from .divisors import (
     BoundaryKey,
     WeightVector,
-    canonical_boundary_key,
+    _as_key,
     dk_class,
     heavy_counts,
     least_nonempty_m,
     make_weights,
 )
+from .divisors import canonical_boundary as canonical_eps  # eps read as root divisors
 from .errors import (
     COutOfInterval,
     InvalidBoundaryKey,
+    InvalidValue,
     InvalidWeights,
     NefcertError,
     NoCaseApplies,
@@ -147,7 +149,7 @@ def drop_value(n: int, m: int, k: int, coeffs: CoefficientVector,
     The value does not depend on k; admissibility does.
     """
     if not (0 <= r1 <= n and 0 <= r2 <= m):
-        raise ValueError(f"counts ({r1},{r2}) outside the grid 0..{n} x 0..{m}")
+        raise InvalidValue(f"counts ({r1},{r2}) outside the grid 0..{n} x 0..{m}")
     return coeffs.combine(_step_drops(n, m, r1, r2))
 
 
@@ -156,7 +158,8 @@ def min_drop(n: int, m: int, k: int, coeffs: CoefficientVector,
     """Exhaustive minimum of the drop, shifted by eps, over admissible counts:
     the first least cell in grid order, scanned in integers (_scan); None when
     no step is admissible at all (every generically smooth family is then a
-    step-free ruled-surface family).
+    step-free ruled-surface family). eps keys are cell labels of this grid
+    (_grid_labels), not divisors: a complement or out-of-grid key shifts nothing.
     """
     grid = make_weights(n, m, k)
     return _scan(n, m, k, [(value.numerator, value.denominator) for value in (
@@ -282,9 +285,7 @@ def c0_lower(n: int, m: int, k: int) -> tuple[Fraction, bool]:
     where the case-1 threshold meets the cap and step-free families genuinely
     pair to zero there.
     """
-    make_weights(n, m, k)
-    if k < 2:
-        raise InvalidWeights("thresholds are stated for k >= 2")
+    threshold_c(n, m, k)  # validates (n, m, k) and k >= 2
     c0 = _leg_class(n, min(m, 2), k, None)[0]
     return c0, _below_cap(c0, k)
 
@@ -328,7 +329,9 @@ def certify_generic(n: int, m: int, k: int, c, *,
     positively, while step-free ruled-surface families pair the combination
     to exactly 0. An empty admissible set reports the step-free situation
     outright. Boundary perturbations shift the drop at matching counts;
-    their keys are canonicalized on (n, m, k) and must be admissible there.
+    eps is read as boundary divisors of (n, m, k) (canonical_eps): either
+    spelling of a divisor gives the same certificate, and a key must be
+    admissible there.
 
     With m >= 2 the substituted combination equals the ray pairing at every
     c; with m <= 1 it has one parameter fewer and the two agree exactly at
@@ -366,50 +369,29 @@ def perturbed_certify(n: int, m: int, k: int, c,
     """Rerun the certification with each drop at counts (r1, r2) shifted by
     eps[(r1, r2) canonical in its grid].
 
-    A key labels the boundary cells of every grid the certification visits
-    (stratum grids, lower weight levels, regrouped k = 1 grids): in each grid
-    it shifts the admissible counts whose canonical key it is. Boundary
-    divisors of (n, m, k) itself are spelled either way after canonical_eps;
-    a key that is the canonical key of no admissible cell in any visited
-    grid raises InvalidBoundaryKey. Legs whose grid has no such cell come from
-    the eps-free memo; every other leg starts from its memo leg (_shifted_leg)
-    and is not stored. With eps identically zero this is certify_interval; the
-    maximal uniform shift with a guaranteed strictly_positive verdict is that
-    certificate's margin.
+    eps keys are cell labels, not root boundary divisors: a key labels the
+    boundary cells of every grid the certification visits (stratum grids,
+    lower weight levels, regrouped k = 1 grids), in each grid the admissible
+    counts whose canonical key it is (_grid_labels). Two keys that are
+    complements on (n, m, k) can label different cells of a stratum grid, so
+    they are not folded here; callers that mean root divisors in either
+    spelling read eps through canonical_eps first, as the CLI does. A key
+    that labels no cell of any visited grid raises InvalidBoundaryKey. Legs
+    whose grid has no such cell come from the eps-free memo; every other leg
+    starts from its memo leg (_shifted_leg) and is not stored. With eps
+    identically zero this is certify_interval; the maximal uniform shift with
+    a guaranteed strictly_positive verdict is that certificate's margin.
     """
-    labels = {BoundaryKey(*_key_pair(key)): exact(value)
-              for key, value in dict(eps or {}).items()}
+    labels = {_as_key(key): exact(value) for key, value in dict(eps or {}).items()}
     return _certify(n, m, k, exact(c), labels)
-
-
-def canonical_eps(weights: WeightVector, eps: Mapping) -> dict[BoundaryKey, Fraction]:
-    """eps with every key, a BoundaryKey or an (i, j) pair, routed through
-    canonical_boundary_key on weights.
-
-    A key and its complement name the same boundary divisor, so they may not
-    both be given; an inadmissible key raises InvalidBoundaryKey.
-    """
-    cleaned: dict[BoundaryKey, Fraction] = {}
-    for key, value in dict(eps or {}).items():
-        i, j = _key_pair(key)
-        canonical = canonical_boundary_key(weights, i, j)
-        if canonical in cleaned:
-            raise InvalidBoundaryKey(
-                f"({i},{j}) and another key name the same boundary divisor "
-                f"({canonical.label()}) on ({weights.label()})")
-        cleaned[canonical] = exact(value)
-    return cleaned
 
 
 # --- certification engine ------------------------------------------------------
 
-def _key_pair(key) -> tuple[int, int]:
-    return (key.i, key.j) if isinstance(key, BoundaryKey) else tuple(key)
-
-
 def _grid_labels(grid: WeightVector, eps: Mapping[BoundaryKey, Fraction]) -> list:
     """The (key, value) pairs of eps whose key is the canonical key of an
-    admissible cell of grid; a complement or an out-of-grid key labels none."""
+    admissible cell of grid; a complement or an out-of-grid key labels none:
+    the cell-label reading of eps that min_drop and perturbed_certify share."""
     return [(key, value) for key, value in eps.items()
             if key.is_canonical(grid) and key.is_admissible(grid)]
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .errors import InvalidValue
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
 
@@ -16,7 +18,7 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" with q > 0; anything else (floats included) is rejected."""
     cleaned = text.strip()
     if not _RATIONAL_RE.match(cleaned):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise InvalidValue(f"not a rational literal: {text!r}")
     return Fraction(cleaned)
 
 

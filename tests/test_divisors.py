@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import nefcert as nc
@@ -11,6 +11,7 @@ from nefcert.errors import (
     AmbientMismatch,
     InvalidBoundaryKey,
     InvalidWeights,
+    NefcertError,
     RecordFormatError,
 )
 from nefcert.divisors import least_nonempty_m, nonempty_moduli
@@ -63,6 +64,45 @@ class TestBoundaryKey:
         assert nc.canonical_boundary_key(w2, 1, 1) == nc.BoundaryKey(1, 1)
         assert nc.BoundaryKey(0, 2).is_admissible(w2)
         assert not nc.BoundaryKey(0, 1).is_admissible(w2)
+
+
+@st.composite
+def split_cells(draw):
+    """A valid (n, m, k) with a boundary cell (i, j) that is not its own complement."""
+    k = draw(st.integers(1, 6))
+    n, m = draw(st.integers(0, 14)), draw(st.integers(0, 5))
+    assume(nonempty_moduli(n, m, k))
+    w = nc.make_weights(n, m, k)
+    cells = [cell for cell in nc.admissible_pairs(n, m, k) if cell != (n - cell[0], m - cell[1])]
+    assume(cells)
+    i, j = draw(st.sampled_from(cells))
+    return w, (i, j), (n - i, m - j)
+
+
+class TestComplementSpellings:
+    """A boundary divisor (i, j) is also named by its complement (n-i, m-j)."""
+
+    @given(cell=split_cells(), value=small_rationals)
+    def test_either_spelling_gives_one_answer(self, cell, value):
+        w, key, other = cell
+
+        def with_key(key):
+            return nc.DivisorClass(w, F(0), (F(0),) * w.m, F(0), F(0), {key: value})
+
+        assert with_key(key) == with_key(other) == with_key(nc.BoundaryKey(*other))
+        assert nc.canonical_eps(w, {key: value}) == nc.canonical_eps(w, {other: value})
+        records = [nc.class_from_record(f"boundary[{i},{j}] {value}\n", w) for i, j in (key, other)]
+        assert records[0] == records[1] == nc.class_from_record(
+            nc.class_to_record(with_key(other)), w) == with_key(key)
+
+    @given(cell=split_cells())
+    def test_a_key_with_its_complement_raises(self, cell):
+        w, key, other = cell
+        both = {key: F(1), other: F(2)}
+        with pytest.raises(InvalidBoundaryKey, match="name the same boundary divisor"):
+            nc.DivisorClass(w, F(0), (F(0),) * w.m, F(0), F(0), both)
+        with pytest.raises(InvalidBoundaryKey, match="name the same boundary divisor"):
+            nc.canonical_eps(w, both)
 
 
 class TestDkClass:
@@ -183,8 +223,10 @@ class TestClassCombine:
             nc.class_combine([(1, d1), (1, d2)])
 
     def test_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             nc.class_combine([])
+        assert isinstance(excinfo.value, NefcertError)
+        assert str(excinfo.value) == "class_combine needs at least one term"
 
     def test_boundary_coefficients_merge_and_cancel(self):
         w = nc.make_weights(7, 0, 2)
@@ -241,6 +283,7 @@ class TestClassErrors:
     def test_psi_tau_needs_one_entry_per_weight_one_section(self):
         with pytest.raises(ValueError) as excinfo:
             nc.DivisorClass(nc.make_weights(3, 2, 2), F(1), (F(1),), F(0), F(-1), {})
+        assert isinstance(excinfo.value, NefcertError)
         assert str(excinfo.value) == \
             "psi_tau needs one entry per weight-one section (2), got 1"
 
@@ -251,14 +294,21 @@ class TestClassErrors:
                                           {nc.BoundaryKey(3, 0): F(2)})
         assert list(spelled.boundary) == [nc.BoundaryKey(3, 0)]
 
-    @pytest.mark.parametrize("key, message", [
-        ((2, 0), "boundary key (2,0) inadmissible on (7,0,2)"),
-        ((4, 0), "boundary key (4,0) is not canonical on (7,0,2)"),
+    @pytest.mark.parametrize("key, expected", [
+        ((2, 0), "(2,0) is not a boundary divisor on (7,0,2): both sides must carry weight > 1"),
+        ((4, 0), (3, 0)),  # the complement spelling gives the canonical key's class
     ], ids=["inadmissible", "not-canonical"])
-    def test_boundary_keys_must_be_canonical_and_admissible(self, key, message):
-        with pytest.raises(InvalidBoundaryKey) as excinfo:
-            nc.DivisorClass(nc.make_weights(7, 0, 2), F(1), (), F(0), F(-1), {key: F(1)})
-        assert str(excinfo.value) == message
+    def test_boundary_keys_must_be_canonical_and_admissible(self, key, expected):
+        def with_key(key):
+            return nc.DivisorClass(nc.make_weights(7, 0, 2), F(1), (), F(0), F(-1), {key: F(1)})
+
+        if isinstance(expected, str):
+            with pytest.raises(InvalidBoundaryKey) as excinfo:
+                with_key(key)
+            assert str(excinfo.value) == expected
+        else:
+            assert with_key(key) == with_key(expected)
+            assert list(with_key(key).boundary) == [nc.BoundaryKey(*expected)]
 
     @pytest.mark.parametrize("text, message", [
         ("# ambient\npsi_sigma\n", "line 2: expected 'key value', got 'psi_sigma'"),
@@ -273,6 +323,12 @@ class TestClassErrors:
 class TestExact:
     def test_reads_a_rational_literal(self):
         assert exact("-3/4") == F(-3, 4) and exact("5") == F(5)
+
+    def test_rejects_a_malformed_literal(self):
+        with pytest.raises(ValueError) as excinfo:
+            exact("1.5")
+        assert isinstance(excinfo.value, NefcertError)
+        assert str(excinfo.value) == "not a rational literal: '1.5'"
 
     def test_rejects_other_objects(self):
         value = object()

@@ -15,6 +15,7 @@ from nefcert.errors import (
     ConcreteOnly,
     FamilyFormatError,
     InvalidCoefficients,
+    NefcertError,
     ShapeNotFunctorial,
     UnequalTauCoefficients,
 )
@@ -59,12 +60,12 @@ class TestBlowdownStep:
         assert (counted.r1, counted.r2) == (3, 1) and counted != step
 
     def test_sets_and_counts_do_not_mix(self):
-        with pytest.raises(ValueError):
-            nc.BlowdownStep(frozenset({1, 2}), frozenset(), (3, 0))
-        with pytest.raises(ValueError):
-            nc.BlowdownStep(frozenset({1, 2}))
-        with pytest.raises(ValueError):
-            nc.BlowdownStep()
+        for fields in ((frozenset({1, 2}), frozenset(), (3, 0)), (frozenset({1, 2}),), ()):
+            with pytest.raises(ValueError) as excinfo:
+                nc.BlowdownStep(*fields)
+            assert isinstance(excinfo.value, NefcertError)
+            assert str(excinfo.value) == \
+                "a step holds either both section sets or only its counts"
 
 
 class TestValidate:
@@ -147,7 +148,7 @@ def validation_cases():
         (dataclasses.replace(counted, steps=(nc.BlowdownStep.concrete({1, 2, 3}),)),
          ["steps[0]: abstract family carries section sets"]),
         (dataclasses.replace(terminal, final_e_tau=None),
-         ["final_e_sigma: concrete family needs terminal self-intersections"]),
+         ["final_e_tau: concrete family needs terminal self-intersections"]),
         (nc.FamilyModel.concrete(w7, (), (0,) * 6), ["final_e_sigma: expected 7 entries, got 6"]),
         (nc.FamilyModel.concrete(w31, (), (0,) * 3, ()), ["final_e_tau: expected 1 entries, got 0"]),
     ]
@@ -169,6 +170,7 @@ class TestValidationMessages:
         for function in (nc.level_matrix, nc.f_values):
             with pytest.raises(ValueError) as excinfo:
                 function(family, level)
+            assert isinstance(excinfo.value, NefcertError)
             assert str(excinfo.value) == message
 
     def test_stratified_parts_must_match_their_weights(self):
@@ -209,8 +211,10 @@ class TestLevelMatrix:
 
     def test_mixed_parity_rejected(self):
         fam = nc.FamilyModel.concrete(nc.make_weights(3, 1, 2), (), (0, 0, 1), (0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             nc.level_matrix(fam, 0)
+        assert isinstance(excinfo.value, NefcertError)
+        assert str(excinfo.value) == "terminal self-intersections have mixed parities"
 
     def test_section_indices_outside_the_range_are_rejected(self):
         # section 0 would wrap to row -1 and lower section 5's self-intersection
@@ -218,8 +222,10 @@ class TestLevelMatrix:
                                       (nc.BlowdownStep.concrete({0, 1, 2}),), (2,) * 5)
         for reader in (lambda f: nc.level_matrix(f, 0), lambda f: nc.f_values(f, 0),
                        nc.intersection_numbers):
-            with pytest.raises(ValueError, match=r"^steps\[0\]\.sigma: index 0 outside 1\.\.5$"):
+            with pytest.raises(ValueError) as excinfo:
                 reader(fam)
+            assert isinstance(excinfo.value, NefcertError)
+            assert str(excinfo.value) == "steps[0].sigma: index 0 outside 1..5"
         steps = (nc.BlowdownStep.concrete({1}, {1}), nc.BlowdownStep.concrete({2}, {3}))
         fam = nc.FamilyModel.concrete(nc.make_weights(3, 2, 2), steps, (0,) * 3, (0,) * 2)
         with pytest.raises(ValueError, match=r"^steps\[1\]\.tau: index 3 outside 1\.\.2$"):
@@ -596,7 +602,7 @@ class TestFamilyFiles:
         ('"n": 5, "m": 0, "k": 2, "mode": "concrete", "steps": [], '
          '"final_e_sigma": 0, "final_e_tau": []', "final_e_sigma: expected a list of integers"),
         ('"n": 5, "m": 0, "k": 2, "mode": "abstract", "steps": [], "final_e_tau": []',
-         "final_e_sigma: not allowed on abstract families"),
+         "final_e_tau: not allowed on abstract families"),
     ], ids=["integer", "steps-list", "step-object", "concrete-keys", "integer-list",
             "abstract-terminal-tau"])
     def test_type_errors_name_the_field(self, fields, message):

@@ -66,8 +66,10 @@ class TestDropValue:
 
     def test_grid_gate(self):
         coeffs = nc.CoefficientVector.from_ab(5, 0, F(1), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             nc.drop_value(5, 0, 2, coeffs, 6, 0)
+        assert isinstance(excinfo.value, NefcertError)
+        assert str(excinfo.value) == "counts (6,0) outside the grid 0..5 x 0..0"
 
 
 class TestMinDrop:

@@ -164,7 +164,7 @@ def min_drop(n: int, m: int, k: int, coeffs: CoefficientVector,
     grid = make_weights(n, m, k)
     return _scan(n, m, k, [(value.numerator, value.denominator) for value in (
         coeffs.a_sigma, coeffs.a_tau, coeffs.a_sigma_tau, coeffs.a_delta)],
-        _grid_labels(grid, eps or {}))
+        _grid_labels(grid, _cell_labels(eps)))
 
 
 def g_series(family: FamilyModel, coeffs: CoefficientVector) -> list[Fraction]:
@@ -376,17 +376,33 @@ def perturbed_certify(n: int, m: int, k: int, c,
     complements on (n, m, k) can label different cells of a stratum grid, so
     they are not folded here; callers that mean root divisors in either
     spelling read eps through canonical_eps first, as the CLI does. A key
-    that labels no cell of any visited grid raises InvalidBoundaryKey. Legs
-    whose grid has no such cell come from the eps-free memo; every other leg
-    starts from its memo leg (_shifted_leg) and is not stored. With eps
-    identically zero this is certify_interval; the maximal uniform shift with
-    a guaranteed strictly_positive verdict is that certificate's margin.
+    that labels no cell of any visited grid, or that is given both as a
+    BoundaryKey and as an (i, j) pair (_cell_labels), raises
+    InvalidBoundaryKey. Legs whose grid has no such cell come from the
+    eps-free memo; every other leg starts from its memo leg (_shifted_leg)
+    and is not stored. With eps identically zero this is certify_interval;
+    the maximal uniform shift with a guaranteed strictly_positive verdict is
+    that certificate's margin.
     """
-    labels = {_as_key(key): exact(value) for key, value in dict(eps or {}).items()}
-    return _certify(n, m, k, exact(c), labels)
+    return _certify(n, m, k, exact(c), _cell_labels(eps))
 
 
 # --- certification engine ------------------------------------------------------
+
+def _cell_labels(eps: Mapping | None) -> dict[BoundaryKey, Fraction]:
+    """eps, keyed by BoundaryKeys or (i, j) pairs, with exact values under
+    BoundaryKeys: the one reader of cell labels, for min_drop and
+    perturbed_certify. Keys are not folded into complements (_grid_labels);
+    a key given in both spellings raises."""
+    labels: dict[BoundaryKey, Fraction] = {}
+    for key, value in dict(eps or {}).items():
+        key = _as_key(key)
+        if key in labels:
+            raise InvalidBoundaryKey(
+                f"({key.label()}) is given twice, as a BoundaryKey and as an (i, j) pair")
+        labels[key] = exact(value)
+    return labels
+
 
 def _grid_labels(grid: WeightVector, eps: Mapping[BoundaryKey, Fraction]) -> list:
     """The (key, value) pairs of eps whose key is the canonical key of an
@@ -450,8 +466,7 @@ def _shifted_leg(leg: TraceEntry, eps: Mapping[BoundaryKey, Fraction], unused: s
     whole grid is scanned again."""
     grid, low = leg.grid, leg.minimum
     touched = _grid_labels(grid, eps)
-    if unused and touched:
-        unused.difference_update(key for key, _ in touched)
+    unused.difference_update(key for key, _ in touched)
     lowered = set()
     for key, value in touched:
         cells = {(key.i, key.j), (grid.n - key.i, grid.m - key.j)}
@@ -519,27 +534,30 @@ def _check_transport(n: int, m: int, k: int) -> None:
         raise NefcertError("internal: endpoint transport identity failed")
 
 
-def _transports(verdict: str, zero_strata, margin: Fraction | None, k: int) -> bool:
+def _transports(verdict: str, zero_strata, witness: DropEvaluation | None, k: int) -> bool:
     """Whether the level k - 1 certificate makes the upper endpoint of level
     k strictly positive. Strict transforms of curves are never collapsed, so
     zeros one level down of the collapsed shape (k, 1) do not obstruct."""
     return verdict == STRICTLY_POSITIVE or (
         verdict == ZERO_CHARACTERIZED and bool(zero_strata)
         and all((z.n, z.m) == (k, 1) for z in zero_strata)
-        and (margin is None or margin > 0))
+        and (witness is None or witness.value > 0))
 
 
-def _level_verdict(endpoint_strict: bool, least: Fraction | None,
-                   carriers) -> tuple[str, tuple[str, ...]]:
-    """Verdict of a level k >= 2 from its endpoint and the least drop of its
-    base legs."""
+def _level_verdict(level: int, endpoint_strict: bool, least: Fraction | None,
+                   zeros) -> tuple[str, tuple[str, ...]]:
+    """Verdict of a level from its upper endpoint, strict by definition at
+    level 1 (the ground), and the least drop of its legs. At level 1 the zero
+    strata are the zero-drop legs, so only levels >= 2 reach least == 0."""
     if not endpoint_strict:
         return INCONCLUSIVE, ("upper-endpoint certificate failed; no convex "
                               "combination available",)
     if least is not None and least < 0:
-        return INCONCLUSIVE, ("a stratum base certificate has a negative drop",)
-    if carriers:
+        return INCONCLUSIVE, ("a stratum drop table reaches a negative value" if level == 1
+                              else "a stratum base certificate has a negative drop",)
+    if zeros:
         return ZERO_CHARACTERIZED, (
+            "degree zero exactly on families built from zero-drop steps" if level == 1 else
             "degree zero exactly on curves inside the zero strata "
             "(the curves collapsed by the reduction increasing k)",)
     if least == 0:
@@ -547,38 +565,29 @@ def _level_verdict(endpoint_strict: bool, least: Fraction | None,
     return STRICTLY_POSITIVE, ()
 
 
-def _k1_verdict(least: Fraction | None, zero_strata) -> tuple[str, tuple[str, ...]]:
-    if least is not None and least < 0:
-        return INCONCLUSIVE, ("a stratum drop table reaches a negative value",)
-    if zero_strata:
-        return ZERO_CHARACTERIZED, ("degree zero exactly on families built from "
-                                    "zero-drop steps",)
-    return STRICTLY_POSITIVE, ()
-
-
 def _certify(n: int, m: int, k: int, c: Fraction,
              eps: Mapping[BoundaryKey, Fraction] | None) -> Certificate:
-    """The interval certification, one weight level at a time from k to 1.
+    """The interval certification, one weight level at a time from 1 up to
+    k, each level folded as it is built.
 
-    Below c < (k+1)/(2k) a level is a convex combination of its upper
-    endpoint and one base leg per boundary stratum at c0 (_stratum_leg). The
-    upper endpoint transports one level down with vanishing exceptional
-    coefficient (_check_transport), where the same c is the lower endpoint;
-    at c = (k+1)/(2k) itself no drop table of the top level is evaluated.
-    Level 1 is grounded by per-stratum drop minimization: strata with several
-    weight-one sections are certified through the regrouped grid
+    Level 1 is the ground, certified by per-stratum drop minimization: strata
+    with several weight-one sections go through the regrouped grid
     (n + m - 1, 1), where all but one heavy section count as light, which
     discards a nonnegative psi contribution when c <= 1 (c is capped at 1;
     the surplus multiplies a psi class, which pairs nonnegatively).
     Collision classes do not exist at k = 1, so there the combination
-    matches the ray for every c.
+    matches the ray for every c. At level >= 2 the upper endpoint transports
+    one level down with vanishing exceptional coefficient (_check_transport),
+    where the same c is the lower endpoint, so the level below decides it
+    (_transports); below it a level is a convex combination of its endpoint
+    and one base leg per boundary stratum at c0 (_stratum_leg). At
+    c = (k+1)/(2k) no drop table of the top level is evaluated.
 
-    Each visited level keeps one record, from level k down: its legs, its
-    strata, their first least drop (the level's witness, its value the margin;
-    the legs enter the verdict only through it) and its zero strata or
-    carriers. The verdicts fold from level 1 up, the trace and the strata
-    flatten the records, and (a, b) come from the root's leg, the top level's
-    last (reachable_strata lists (n, m) last).
+    A level's legs enter its verdict only through their first least drop,
+    which joins the witness (its value the margin; the higher level wins a
+    tie, as it comes first in the trace). The trace and the strata list the
+    levels from k down; (a, b) come from the root's leg, the top level's last
+    (reachable_strata lists (n, m) last).
     """
     weights = make_weights(n, m, k)
     lo, hi = ample_interval(k)
@@ -589,24 +598,26 @@ def _certify(n: int, m: int, k: int, c: Fraction,
         raise COutOfInterval(
             f"certified interval for k = {k} is [{lo}, {hi}], got {c}")
 
-    levels = []  # (level, legs, strata, first least drop, zeros), level k first
+    legs_by_level, strata_by_level = [], []  # level 1 first
     unused = set(eps or ())
+    witness, endpoint_strict = None, True  # level 1 is the ground
     # below the top, a level is reached at the upper endpoint of the level
     # above: its own lower endpoint for level >= 2, and 3/4 at level 1, the
     # only level whose legs depend on c; the memo keys c = 3/4 as None
     leg_c = c if k == 1 and c != _LEVEL1_C else None
-    for level in range(k, 0, -1):
+    for level in range(1, k + 1):
         if level > 1:
             _check_transport(n, m, level)
-        if level == k and c == hi:
-            continue
+            endpoint_strict = _transports(verdict, zeros, witness, level)
+            if level == k and c == hi:
+                break
         at_lo = level < k or c == lo
         best = None
         legs, strata, zeros = [], [], []
         for n1, m1 in reachable_strata(n, m, level):
             shape = _grid_shape(n1, m1, level)  # the leg key: strata of one grid share it
             leg = _cached_stratum_leg(*shape, level, leg_c)
-            if eps and leg.minimum is not None:
+            if eps:
                 leg = _shifted_leg(leg, eps, unused)
             low = leg.minimum
             if level == 1:
@@ -625,37 +636,28 @@ def _certify(n: int, m: int, k: int, c: Fraction,
                 best, least_num, least_den = low, low.value.numerator, low.value.denominator
             legs.append(leg)
             strata.append(stratum)
-        levels.append((level, legs, strata, best, zeros))
+        legs_by_level.append(legs)
+        strata_by_level.append(strata)
+        verdict, notes = _level_verdict(
+            level, endpoint_strict, best.value if best is not None else None, zeros)
+        if best is not None and (witness is None or best.value <= witness.value):
+            witness = best
     if unused:
         raise InvalidBoundaryKey(
             f"({min(unused).label()}) is the canonical key of no admissible cell in "
             f"any grid visited from ({weights.label()})")
 
-    verdict, zero_strata, witness = None, (), None
-    for level, _, _, best, zeros in reversed(levels):
-        least = best.value if best is not None else None
-        if level == 1:
-            verdict, notes = _k1_verdict(least, zeros)
-        else:
-            margin = witness.value if witness is not None else None
-            verdict, notes = _level_verdict(
-                _transports(verdict, zero_strata, margin, level), least, zeros)
-        zero_strata = tuple(zeros)
-        # on ties the higher level wins: it comes first in the trace
-        if best is not None and (witness is None or best.value <= witness.value):
-            witness = best
-    margin = witness.value if witness is not None else None
     if c == hi:
-        strict = _transports(verdict, zero_strata, margin, k)
-        verdict = STRICTLY_POSITIVE if strict else INCONCLUSIVE
+        verdict = STRICTLY_POSITIVE if endpoint_strict else INCONCLUSIVE
         zero_strata = ()
         notes = (f"transported to k = {k - 1} with vanishing exceptional coefficient",)
-        if not strict:
+        if not endpoint_strict:
             notes += ("lower-level certificate does not confine zeros to collapsed curves",)
         a = b = None
     else:  # from the root's leg, the top level's last
-        a, b = levels[0][1][-1].a, levels[0][1][-1].b
-    return Certificate(verdict, weights, c, a, b, witness, margin,
-                       tuple(chain.from_iterable(record[2] for record in levels)),
+        zero_strata, a, b = tuple(zeros), legs[-1].a, legs[-1].b
+    return Certificate(verdict, weights, c, a, b, witness,
+                       witness.value if witness is not None else None,
+                       tuple(chain.from_iterable(reversed(strata_by_level))),
                        zero_strata=zero_strata, notes=notes,
-                       trace=tuple(chain.from_iterable(record[1] for record in levels)))
+                       trace=tuple(chain.from_iterable(reversed(legs_by_level))))

@@ -5,10 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nefcert as nc
 from nefcert import families
 from nefcert.cli import main
+from nefcert.divisors import least_nonempty_m
 from nefcert.errors import (
     AmbientMismatch,
     ConcreteAbstractMismatch,
@@ -560,6 +563,19 @@ class TestFamilyFiles:
 
     def test_round_trip_abstract(self):
         fam = nc.FamilyModel.abstract(nc.make_weights(3, 2, 2), [(1, 1), (0, 2)])
+        assert nc.family_from_json(nc.family_to_json(fam)) == fam
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_random_concrete(self, seed):
+        for fam in random_family_batch(seed, 3):
+            assert nc.family_from_json(nc.family_to_json(fam)) == fam
+
+    @given(data=st.data(), k=st.integers(1, 5), n=st.integers(0, 12))
+    def test_round_trip_random_abstract(self, data, k, n):
+        m = data.draw(st.integers(max(0, least_nonempty_m(n, k)), 6))
+        pairs = nc.admissible_pairs(n, m, k)
+        counts = data.draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+        fam = nc.FamilyModel.abstract(nc.make_weights(n, m, k), counts)
         assert nc.family_from_json(nc.family_to_json(fam)) == fam
 
     @pytest.mark.parametrize("text,fragment", [

@@ -10,12 +10,16 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import nefcert as nc
 from nefcert import positivity
+from nefcert.divisors import least_nonempty_m
 from nefcert.errors import (COutOfInterval, InvalidBoundaryKey, InvalidWeights, NefcertError,
                             NoCaseApplies)
 from nefcert.positivity import INCONCLUSIVE, STRICTLY_POSITIVE, ZERO_CHARACTERIZED
+from helpers import random_concrete_family_on
 
 
 def brute_pairs(n, m, k):
@@ -446,6 +450,34 @@ class TestEpsKeys:
         assert cert != base
 
 
+class TestCellLabels:
+    """min_drop and perturbed_certify read eps through one cell-label reader:
+    (i, j) pairs and BoundaryKeys name the same cell, values are exact."""
+
+    def test_a_key_in_both_spellings_raises(self):
+        for eps in ({(3, 0): F(-1, 5), nc.BoundaryKey(3, 0): F(1, 5)},
+                    {nc.BoundaryKey(3, 0): F(1, 5), (3, 0): F(-1, 5)}):
+            with pytest.raises(InvalidBoundaryKey, match=r"\(3,0\) is given twice"):
+                nc.perturbed_certify(7, 0, 2, F(7, 10), eps)
+            coeffs = nc.CoefficientVector.from_ab(7, 0, F(1, 2), 0)
+            with pytest.raises(InvalidBoundaryKey, match=r"\(3,0\) is given twice"):
+                nc.min_drop(7, 0, 2, coeffs, eps)
+
+    def test_min_drop_reads_a_tuple_key_as_its_boundary_key(self):
+        coeffs = nc.CoefficientVector.from_ab(7, 0, F(1, 2), 0)
+        for key in ((3, 0), (2, 0), (4, 0)):
+            assert nc.min_drop(7, 0, 2, coeffs, {key: F(-1, 5)}) == \
+                nc.min_drop(7, 0, 2, coeffs, {nc.BoundaryKey(*key): F(-1, 5)})
+        assert nc.min_drop(7, 0, 2, coeffs, {(3, 0): F(-1, 5)}).value == F(-1, 5)
+
+    def test_a_float_value_raises_type_error(self):
+        coeffs = nc.CoefficientVector.from_ab(7, 0, F(1, 2), 0)
+        with pytest.raises(TypeError, match="exact rational required"):
+            nc.min_drop(7, 0, 2, coeffs, {(3, 0): -0.2})
+        with pytest.raises(TypeError, match="exact rational required"):
+            nc.perturbed_certify(7, 0, 2, F(7, 10), {nc.BoundaryKey(3, 0): -0.2})
+
+
 def _interior(k):
     lo, hi = nc.ample_interval(k)
     return (lo + hi) / 2
@@ -743,6 +775,17 @@ class TestOracles:
             assert nc.evaluate_class(nc.dk_class(fam.weights, c), fam) == 0
 
 
+@st.composite
+def concrete_families(draw):
+    """A valid concrete family (helpers.random_concrete_family_on) on a drawn
+    (n, m, k) with n <= 8, m <= 4 and 2 <= k <= 4."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(0, 8))
+    weights = nc.make_weights(n, draw(st.integers(max(0, least_nonempty_m(n, k)), 4)), k)
+    family = random_concrete_family_on(random.Random(draw(st.integers(0, 2**32 - 1))), weights)
+    assume(family is not None)
+    return family
+
+
 class TestCertificateSoundness:
     """Certificates checked against honest families: the certification engine
     and the family engine are independent routes to the same pairing."""
@@ -805,6 +848,21 @@ class TestCertificateSoundness:
                     assert value >= 0, (n, m, k, c, shape)
                 checked += 1
             assert checked >= 30
+
+    # k = 1 is left out: there validate_family accepts families whose light
+    # sections meet at level 0, which two weight-one points cannot do, and
+    # such a family can pair negatively with a strict certificate's ray
+    @given(family=concrete_families())
+    def test_certificates_bound_random_family_pairings(self, family):
+        w = family.weights
+        lo, hi = nc.ample_interval(w.k)
+        for c in (lo, (lo + hi) / 2, hi):
+            verdict = nc.certify_interval(w.n, w.m, w.k, c).verdict
+            value = nc.evaluate_class(nc.dk_class(w, c), family)
+            if verdict == STRICTLY_POSITIVE and family.n_steps:
+                assert value > 0, c
+            elif verdict in (STRICTLY_POSITIVE, ZERO_CHARACTERIZED):
+                assert value >= 0, c
 
     def test_zero_characterization_is_realized(self):
         # at the lower endpoint a family moving inside a collapsed stratum

@@ -16,7 +16,9 @@ Concrete families carry each step's section sets, whose sizes are the step
 counts (r1, r2), and the terminal data; abstract families keep only the
 counts. One walk from the terminal surface down to level 0 updates a single
 level matrix in place and telescopes the potentials; level_matrix, f_values
-and g_series all read from it.
+and g_series all read from it. f_values keeps the walk's state between
+calls on one family and moves it up or down the chain, so reading every
+level in turn costs one pass.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .divisors import (
@@ -208,30 +210,42 @@ def validate_family(family: FamilyModel) -> list[str]:
     return violations
 
 
-def _sweep(family: FamilyModel, lowest: int = 0, potentials: bool = True):
-    """Walk the chain once, from level N down to `lowest`, yielding (level,
-    matrix, values) at every level: the level matrix (None on abstract
-    families; one list, updated in place as level_matrix describes) and the
-    telescoped potentials, which start at 0 and add each crossed step's
-    _step_drops (None without potentials).
-    """
-    n_steps = family.n_steps
-    if not 0 <= lowest <= n_steps:
-        raise InvalidValue(f"level must lie in 0..{n_steps}, got {lowest}")
-    w = family.weights
+def _check_level(family: FamilyModel, level: int) -> None:
+    if not 0 <= level <= family.n_steps:
+        raise InvalidValue(f"level must lie in 0..{family.n_steps}, got {level}")
+
+
+def _terminal(family: FamilyModel):
+    """The walk's state at level N, the terminal surface: the level matrix
+    (None on abstract families) and the four potentials, all 0 there."""
     matrix = None
     if family.mode == CONCRETE:
         e = list(family.final_e_sigma) + list(family.final_e_tau)
         if len({v % 2 for v in e}) > 1:
             raise InvalidValue("terminal self-intersections have mixed parities")
         matrix = [[(ex + ey) // 2 for ey in e] for ex in e]
+    return matrix, (Fraction(0),) * 4
+
+
+def _cross(family: FamilyModel, matrix: list[list[int]] | None, values,
+           start: int, stop: int):
+    """Move the walk's state from level `start` to level `stop`, updating the
+    matrix in place, and return the new values (None moves the matrix alone,
+    for level_matrix). Going down contracts each step crossed: -1 on every
+    matrix entry inside its section set, plus its _step_drops. Going up
+    restores it: +1, minus the drops. Going down checks each step's section
+    indices before changing any entry; a step crossed upward was crossed
+    downward first.
+    """
+    w = family.weights
+    down = stop < start
+    if down and matrix is not None:
         light, heavy = set(range(1, w.n + 1)), set(range(1, w.m + 1))
-    values = (Fraction(0),) * 4 if potentials else None
-    yield n_steps, matrix, values
-    for level in range(n_steps - 1, lowest - 1, -1):
+    unit, combine = (-1, add) if down else (1, sub)
+    for level in range(start - 1, stop - 1, -1) if down else range(start, stop):
         step = family.steps[level]
         if matrix is not None:
-            if not (step.sigma <= light and step.tau <= heavy):
+            if down and not (step.sigma <= light and step.tau <= heavy):
                 name, outside, size = (("sigma", step.sigma - light, w.n) if step.sigma - light
                                        else ("tau", step.tau - heavy, w.m))
                 raise InvalidValue(
@@ -240,10 +254,10 @@ def _sweep(family: FamilyModel, lowest: int = 0, potentials: bool = True):
             for x in members:
                 row = matrix[x]
                 for y in members:
-                    row[y] -= 1
-        if potentials:
-            values = tuple(map(add, values, _step_drops(w.n, w.m, step.r1, step.r2)))
-        yield level, matrix, values
+                    row[y] += unit
+        if values is not None:
+            values = tuple(map(combine, values, _step_drops(w.n, w.m, step.r1, step.r2)))
+    return values
 
 
 def _checked(family: FamilyModel, level: int, matrix: list[list[int]] | None,
@@ -281,8 +295,9 @@ def level_matrix(family: FamilyModel, level: int) -> list[list[int]]:
     """
     if family.mode != CONCRETE:
         raise ConcreteOnly("level matrices need terminal-surface data")
-    for _, matrix, _ in _sweep(family, level, potentials=False):
-        pass
+    _check_level(family, level)
+    matrix, _ = _terminal(family)
+    _cross(family, matrix, None, family.n_steps, level)
     return matrix
 
 
@@ -291,14 +306,14 @@ def intersection_numbers(family: FamilyModel) -> IntersectionReport:
     w = family.weights
     matrix = level_matrix(family, 0)
     n = w.n
-    psi_sigma = -sum(Fraction(matrix[i][i]) for i in range(n))
-    psi_tau = -sum(Fraction(matrix[n + t][n + t]) for t in range(w.m))
-    delta_s = sum(Fraction(matrix[a][b]) for a in range(n) for b in range(a + 1, n))
+    psi_sigma = Fraction(-sum(matrix[i][i] for i in range(n)))
+    psi_tau = Fraction(-sum(matrix[n + t][n + t] for t in range(w.m)))
+    delta_s = Fraction(sum(matrix[a][b] for a in range(n) for b in range(a + 1, n)))
     counts: dict[BoundaryKey, int] = {}
     for step in family.steps:
         key = canonical_boundary_key(w, step.r1, step.r2)
         counts[key] = counts.get(key, 0) + 1
-    return IntersectionReport(psi_sigma, psi_tau, Fraction(delta_s),
+    return IntersectionReport(psi_sigma, psi_tau, delta_s,
                               Fraction(family.n_steps), counts)
 
 
@@ -348,23 +363,44 @@ def _step_drops(n: int, m: int, r1: int, r2: int) -> tuple[Fraction, Fraction, F
     return d_delta, d_sigma, d_tau, d_mixed
 
 
+# At most one (family, level, matrix, values): where the last f_values call
+# left its sweep. Keyed by identity, which cannot go stale on a frozen
+# FamilyModel. A call pops it before moving its matrix, so no two calls move
+# one matrix, and a move that fails leaves nothing behind.
+_last_sweep: list[tuple] = []
+
+
 def f_values(family: FamilyModel, level: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(F_delta, F_sigma, F_tau, F_sigma_tau) at the given level.
 
-    The downward sweep stops at the level, telescoping the per-step drops
-    from the terminal surface, where all four potentials vanish. On concrete
-    families this level's matrix (only) recomputes them as weighted sums of
-    squared section differences, and the two must agree exactly.
+    The potentials telescope the per-step drops from the terminal surface,
+    where all four vanish. The sweep state of the last call is kept: a call
+    on the same family object moves it up or down the chain to the level, so
+    reading every level in turn, in any order, costs one pass. On concrete
+    families this level's matrix (only) recomputes the potentials as weighted
+    sums of squared section differences, and the two must agree exactly.
     """
-    for _, matrix, values in _sweep(family, level):
-        pass
+    _check_level(family, level)
+    try:
+        last, at, matrix, values = _last_sweep.pop()
+    except IndexError:
+        last = None
+    if last is not family:
+        matrix, values = _terminal(family)
+        at = family.n_steps
+    values = _cross(family, matrix, values, at, level)
+    _last_sweep[:] = [(family, level, matrix, values)]
     return _checked(family, level, matrix, values)
 
 
 def _f_series(family: FamilyModel) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
     """f_values at every level 0..N from one sweep, each level checked."""
-    return [_checked(family, level, matrix, values)
-            for level, matrix, values in _sweep(family)][::-1]
+    matrix, values = _terminal(family)
+    series = [_checked(family, family.n_steps, matrix, values)]
+    for level in range(family.n_steps - 1, -1, -1):
+        values = _cross(family, matrix, values, level + 1, level)
+        series.append(_checked(family, level, matrix, values))
+    return series[::-1]
 
 
 def evaluate_class(cls: DivisorClass, family: FamilyModel) -> Fraction:

@@ -2,6 +2,7 @@ import dataclasses
 import random
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -18,6 +19,7 @@ from nefcert.errors import (
     ConcreteOnly,
     FamilyFormatError,
     InvalidCoefficients,
+    InvalidValue,
     NefcertError,
     ShapeNotFunctorial,
     UnequalTauCoefficients,
@@ -270,6 +272,13 @@ class TestIntersectionNumbers:
             assert report.delta_B == fam.n_steps
             assert sum(report.boundary_counts.values()) == fam.n_steps
 
+    def test_every_field_is_a_fraction_without_light_or_heavy_sections(self):
+        no_light = nc.FamilyModel.concrete(nc.make_weights(0, 3, 1), (), (), (0, 0, 0))
+        for fam in (diagonal_family(), stable_model(), no_light):
+            report = nc.intersection_numbers(fam)
+            fields = (report.psi_sigma_B, report.psi_tau_B, report.delta_s_B, report.delta_B)
+            assert [type(value) for value in fields] == [F] * 4
+
 
 class TestFValues:
     def test_stable_model_level_zero(self):
@@ -336,6 +345,62 @@ class TestSweep:
         result = CliRunner().invoke(main, ["family", "fvalues", str(path)])
         assert result.exit_code == 1 and result.stdout == ""
         assert result.stderr.startswith("error: level 3: matrix potentials")
+
+
+class TestResumedSweep:
+    """f_values keeps the sweep state of its last call and moves it along the
+    chain when the next call reads the same family object."""
+
+    def test_reads_in_any_order_equal_one_series(self):
+        rng = random.Random(777)
+        cases = sweep_cases()
+        series = {id(fam): families._f_series(fam) for fam in cases}
+        for fam in cases:
+            levels = list(range(fam.n_steps + 1))
+            for order in (levels, levels[::-1], rng.sample(levels, len(levels))):
+                assert [nc.f_values(fam, level) for level in order] == [
+                    series[id(fam)][level] for level in order]
+        for first, second in zip(cases, cases[1:]):
+            reads = [(fam, level) for fam in (first, second)
+                     for level in range(fam.n_steps + 1)]
+            rng.shuffle(reads)
+            for fam, level in reads:
+                assert nc.f_values(fam, level) == series[id(fam)][level]
+
+    def test_reading_every_level_crosses_each_step_at_most_twice(self, monkeypatch):
+        drops = families._step_drops
+        crossed = []
+
+        def counted(*counts):
+            crossed.append(counts)
+            return drops(*counts)
+
+        monkeypatch.setattr(families, "_step_drops", counted)
+        text = (Path(__file__).with_name("families") / "chain.json").read_text()
+        for ascending in (True, False):
+            fam = nc.family_from_json(text)
+            levels = range(fam.n_steps + 1)
+            crossed.clear()
+            for level in (levels if ascending else reversed(levels)):
+                nc.f_values(fam, level)
+            assert fam.n_steps == 40 and len(crossed) <= 2 * fam.n_steps
+
+    def test_a_bad_index_below_the_first_read_fails_as_a_fresh_sweep(self):
+        def bad():
+            steps = (nc.BlowdownStep.concrete({1, 6}), nc.BlowdownStep.concrete({1, 2}))
+            return nc.FamilyModel.concrete(nc.make_weights(5, 0, 2), steps, (0,) * 5)
+
+        message = "steps[0].sigma: index 6 outside 1..5"
+        with pytest.raises(InvalidValue) as fresh:
+            nc.f_values(bad(), 0)
+        assert str(fresh.value) == message
+        fam = bad()
+        above = [nc.f_values(fam, level) for level in (1, 2)]
+        with pytest.raises(InvalidValue) as resumed:
+            nc.f_values(fam, 0)  # from level 2: steps[1] is crossed, then steps[0] fails
+        assert str(resumed.value) == message
+        # the failed move leaves no half-moved state behind
+        assert [nc.f_values(fam, level) for level in (1, 2)] == above
 
 
 class TestHelpers:

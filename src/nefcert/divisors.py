@@ -22,7 +22,7 @@ from .errors import (
     RecordFormatError,
     UnequalTauCoefficients,
 )
-from .rational import exact, format_rational, parse_rational
+from .rational import exact, format_rational, is_int, parse_rational
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -40,7 +40,7 @@ class WeightVector:
 
     def __post_init__(self) -> None:
         for name, value in (("n", self.n), ("m", self.m), ("k", self.k)):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_int(value):
                 raise InvalidWeights(f"{name} must be an integer, got {value!r}")
         if self.k < 1 or self.n < 0 or self.m < 0:
             raise InvalidWeights(
@@ -81,10 +81,20 @@ def make_weights(n: int, m: int, k: int) -> WeightVector:
 
 @dataclass(frozen=True, order=True)
 class BoundaryKey:
-    """Nodal boundary divisor label: i light and j heavy sections on one side."""
+    """Nodal boundary divisor label: i light and j heavy sections on one side.
+
+    i and j are integers (is_int), checked as WeightVector checks its fields.
+    """
 
     i: int
     j: int
+
+    def __post_init__(self) -> None:
+        if self.i.__class__ is int and self.j.__class__ is int:  # plain ints skip the calls
+            return
+        for name, value in (("i", self.i), ("j", self.j)):
+            if not is_int(value):
+                raise InvalidBoundaryKey(f"{name} must be an integer, got {value!r}")
 
     def complement(self, ambient: WeightVector) -> "BoundaryKey":
         return BoundaryKey(ambient.n - self.i, ambient.m - self.j)

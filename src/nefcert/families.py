@@ -14,11 +14,14 @@ integers.
 
 Concrete families carry each step's section sets, whose sizes are the step
 counts (r1, r2), and the terminal data; abstract families keep only the
-counts. One walk from the terminal surface down to level 0 updates a single
-level matrix in place and telescopes the potentials; level_matrix, f_values
-and g_series all read from it. f_values keeps the walk's state between
-calls on one family and moves it up or down the chain, so reading every
-level in turn costs one pass.
+counts. validate_family owns the structural rules: the walk and
+family_to_json raise the first fault of _step_faults and _terminal_faults,
+in its words, before they use a step or the terminal data. One walk from
+the terminal surface down to level 0 updates a single level matrix in
+place and telescopes the potentials; level_matrix, f_values and g_series
+all read from it. f_values keeps the walk's state between calls on one
+family and moves it up or down the chain, so reading every level in turn
+costs one pass.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .errors import (
     InvalidValue,
     ShapeNotFunctorial,
 )
-from .rational import exact
+from .rational import exact, exact_int, exact_ints
 
 CONCRETE = "concrete"
 ABSTRACT = "abstract"
@@ -60,7 +63,8 @@ class BlowdownStep:
     """One blow-down: the contracted curve meets r1 light and r2 heavy sections.
 
     A concrete step holds the sets sigma and tau of those sections, whose
-    sizes are r1 and r2; an abstract step holds only the counts.
+    sizes are r1 and r2; an abstract step holds only the counts. Indices and
+    counts are integers, and a section listed twice raises (_index_set).
     """
 
     sigma: frozenset[int] | None = None
@@ -70,14 +74,19 @@ class BlowdownStep:
     def __post_init__(self) -> None:
         if (self._counts is None) != self.is_concrete:
             raise InvalidValue("a step holds either both section sets or only its counts")
+        if self._counts is None:
+            object.__setattr__(self, "sigma", _index_set(self.sigma, "sigma"))
+            object.__setattr__(self, "tau", _index_set(self.tau, "tau"))
+        else:
+            object.__setattr__(self, "_counts", tuple(map(exact_int, self._counts, ("r1", "r2"))))
 
     @classmethod
     def concrete(cls, sigma: Iterable[int], tau: Iterable[int] = ()) -> "BlowdownStep":
-        return cls(frozenset(int(x) for x in sigma), frozenset(int(x) for x in tau))
+        return cls(sigma, tau)
 
     @classmethod
     def abstract(cls, r1: int, r2: int) -> "BlowdownStep":
-        return cls(_counts=(int(r1), int(r2)))
+        return cls(_counts=(r1, r2))
 
     @property
     def is_concrete(self) -> bool:
@@ -99,7 +108,9 @@ class FamilyModel:
     steps[0] is adjacent to the actual family (level 0); steps[-1] is the
     last contraction onto the terminal surface (level N). The mode is read
     from the terminal data: concrete when either tuple of self-intersections
-    is set (concrete sets both), abstract when neither is.
+    is set (concrete sets both), abstract when neither is. The steps are
+    BlowdownSteps and the self-intersections integers; whether they fit the
+    weights is validate_family's question.
     """
 
     weights: WeightVector
@@ -107,12 +118,21 @@ class FamilyModel:
     final_e_sigma: tuple[int, ...] | None = None
     final_e_tau: tuple[int, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.weights, WeightVector):
+            raise InvalidValue(f"weights: expected a WeightVector, got {self.weights!r}")
+        object.__setattr__(self, "steps", tuple(self.steps))
+        if not all(isinstance(step, BlowdownStep) for step in self.steps):
+            raise InvalidValue("steps: expected BlowdownSteps")
+        for field in _TERMINAL:
+            if getattr(self, field) is not None:
+                object.__setattr__(self, field, exact_ints(getattr(self, field), field))
+
     @classmethod
     def concrete(cls, weights: WeightVector, steps: Sequence[BlowdownStep],
                  final_e_sigma: Sequence[int],
                  final_e_tau: Sequence[int] = ()) -> "FamilyModel":
-        return cls(weights, tuple(steps), tuple(int(e) for e in final_e_sigma),
-                   tuple(int(e) for e in final_e_tau))
+        return cls(weights, steps, final_e_sigma, final_e_tau)
 
     @classmethod
     def abstract(cls, weights: WeightVector,
@@ -141,7 +161,7 @@ class IntersectionReport:
 
 def validate_family(family: FamilyModel) -> list[str]:
     """All invariant violations, each naming the offending step or matrix entry."""
-    w = family.weights
+    w, mode, sections = family.weights, family.mode, _sections(family.weights)
     violations: list[str] = []
     for idx, step in enumerate(family.steps):
         path = f"steps[{idx}]"
@@ -158,35 +178,11 @@ def validate_family(family: FamilyModel) -> list[str]:
         if step.r2 >= heavy.stop:
             violations.append(f"{path}: complement weight (n-r1)/k + (m-r2) = "
                               f"{Fraction(w.n - step.r1, w.k) + (w.m - step.r2)} is not > 1")
-        if family.mode == CONCRETE:
-            if not step.is_concrete:
-                violations.append(f"{path}: concrete family needs explicit section sets")
-            else:
-                if step.sigma and not set(step.sigma) <= set(range(1, w.n + 1)):
-                    violations.append(f"{path}.sigma: indices outside 1..{w.n}")
-                if step.tau and not set(step.tau) <= set(range(1, w.m + 1)):
-                    violations.append(f"{path}.tau: indices outside 1..{w.m}")
-        elif step.is_concrete:
-            violations.append(f"{path}: abstract family carries section sets")
+        violations += _step_faults(idx, step, mode, sections)
 
-    if family.mode == ABSTRACT:
+    if mode == ABSTRACT:
         return violations
-
-    terminal = []  # (field, self-intersections), light sections first
-    for field, size in zip(_TERMINAL, (w.n, w.m)):
-        entries = getattr(family, field)
-        if entries is None:
-            violations.append(f"{field}: concrete family needs terminal self-intersections")
-            return violations
-        if len(entries) != size:
-            violations.append(f"{field}: expected {size} entries, got {len(entries)}")
-            return violations
-        terminal.append((field, entries))
-    parity = next((e % 2 for _, entries in terminal for e in entries), None)
-    violations += [f"{field}[{offset}]: parity differs from the other self-intersections"
-                   for field, entries in terminal for offset, e in enumerate(entries)
-                   if e % 2 != parity]
-
+    violations += _terminal_faults(family)
     if violations:
         return violations
 
@@ -198,31 +194,72 @@ def validate_family(family: FamilyModel) -> list[str]:
                 violations.append(
                     f"level 0: sigma[{a + 1}].sigma[{b + 1}] = {matrix[a][b]} is negative")
     for t in range(w.m):
-        row = n + t
         for other in range(n + w.m):
-            if other == row:
-                continue
-            if matrix[row][other] != 0:
+            if other != n + t and matrix[n + t][other] != 0:
                 which = (f"sigma[{other + 1}]" if other < n else f"tau[{other - n + 1}]")
                 violations.append(
-                    f"level 0: tau[{t + 1}].{which} = {matrix[row][other]}; "
+                    f"level 0: tau[{t + 1}].{which} = {matrix[n + t][other]}; "
                     "weight-one sections must stay disjoint")
     return violations
 
 
+def _sections(w: WeightVector) -> tuple[set[int], set[int]]:
+    """The light indices 1..n and the heavy indices 1..m, once per pass."""
+    return set(range(1, w.n + 1)), set(range(1, w.m + 1))
+
+
+def _step_faults(index: int, step: BlowdownStep, mode: str, sections) -> list[str]:
+    """validate_family's structural messages for steps[index], in its order:
+    section sets exactly on concrete families, then indices inside 1..n and
+    1..m (sections, from _sections). A sound step costs a mode test and two
+    subset tests; a message is formatted only for a fault."""
+    if (step._counts is None) != (mode == CONCRETE):  # is_concrete, without the property call
+        return [f"steps[{index}]: concrete family needs explicit section sets" if mode == CONCRETE
+                else f"steps[{index}]: abstract family carries section sets"]
+    if mode == ABSTRACT or (step.sigma <= sections[0] and step.tau <= sections[1]):
+        return []
+    return [f"steps[{index}].{name}: indices outside 1..{len(allowed)}"
+            for name, indices, allowed in zip(("sigma", "tau"), (step.sigma, step.tau), sections)
+            if not indices <= allowed]
+
+
+def _terminal_faults(family: FamilyModel) -> list[str]:
+    """validate_family's messages for a concrete family's terminal data, in
+    its order: a field that is missing or has not one entry per section is
+    the only fault; otherwise every entry off the first entry's parity."""
+    for field, size in zip(_TERMINAL, (family.weights.n, family.weights.m)):
+        entries = getattr(family, field)
+        if entries is None:
+            return [f"{field}: concrete family needs terminal self-intersections"]
+        if len(entries) != size:
+            return [f"{field}: expected {size} entries, got {len(entries)}"]
+    e = family.final_e_sigma + family.final_e_tau
+    if len({v % 2 for v in e}) < 2:
+        return []
+    return [f"{field}[{offset}]: parity differs from the other self-intersections"
+            for field in _TERMINAL for offset, v in enumerate(getattr(family, field))
+            if v % 2 != e[0] % 2]
+
+
+def _raise_first(faults: list[str]) -> None:
+    """Raise the first of _step_faults or _terminal_faults, if any."""
+    if faults:
+        raise InvalidValue(faults[0])
+
+
 def _check_level(family: FamilyModel, level: int) -> None:
-    if not 0 <= level <= family.n_steps:
+    if not 0 <= exact_int(level, "level") <= family.n_steps:
         raise InvalidValue(f"level must lie in 0..{family.n_steps}, got {level}")
 
 
 def _terminal(family: FamilyModel):
     """The walk's state at level N, the terminal surface: the level matrix
-    (None on abstract families) and the four potentials, all 0 there."""
+    (None on abstract families) and the four potentials, all 0 there. Raises
+    the first of _terminal_faults before building the matrix."""
     matrix = None
     if family.mode == CONCRETE:
-        e = list(family.final_e_sigma) + list(family.final_e_tau)
-        if len({v % 2 for v in e}) > 1:
-            raise InvalidValue("terminal self-intersections have mixed parities")
+        _raise_first(_terminal_faults(family))
+        e = family.final_e_sigma + family.final_e_tau
         matrix = [[(ex + ey) // 2 for ey in e] for ex in e]
     return matrix, (Fraction(0),) * 4
 
@@ -233,23 +270,20 @@ def _cross(family: FamilyModel, matrix: list[list[int]] | None, values,
     matrix in place, and return the new values (None moves the matrix alone,
     for level_matrix). Going down contracts each step crossed: -1 on every
     matrix entry inside its section set, plus its _step_drops. Going up
-    restores it: +1, minus the drops. Going down checks each step's section
-    indices before changing any entry; a step crossed upward was crossed
-    downward first.
+    restores it: +1, minus the drops. Going down raises a step's first
+    _step_faults before crossing it, so a read above a bad step never
+    crosses it; a step crossed upward was crossed downward first.
     """
     w = family.weights
     down = stop < start
-    if down and matrix is not None:
-        light, heavy = set(range(1, w.n + 1)), set(range(1, w.m + 1))
+    if down:
+        mode, sections = family.mode, _sections(w)
     unit, combine = (-1, add) if down else (1, sub)
     for level in range(start - 1, stop - 1, -1) if down else range(start, stop):
         step = family.steps[level]
+        if down:
+            _raise_first(_step_faults(level, step, mode, sections))
         if matrix is not None:
-            if down and not (step.sigma <= light and step.tau <= heavy):
-                name, outside, size = (("sigma", step.sigma - light, w.n) if step.sigma - light
-                                       else ("tau", step.tau - heavy, w.m))
-                raise InvalidValue(
-                    f"steps[{level}].{name}: index {min(outside)} outside 1..{size}")
             members = {s - 1 for s in step.sigma} | {w.n + t - 1 for t in step.tau}
             for x in members:
                 row = matrix[x]
@@ -291,7 +325,10 @@ def level_matrix(family: FamilyModel, level: int) -> list[list[int]]:
     self-intersections. The downward sweep stops at the level, computing no
     potentials: from the terminal surface, each step crossed subtracts 1 from
     every entry whose two indices both meet the contracted curve (diagonal
-    included).
+    included). Malformed terminal data, or a malformed step between the
+    terminal surface and the level, raises its first structural violation
+    in validate_family's words (InvalidValue); steps below the level are not
+    read.
     """
     if family.mode != CONCRETE:
         raise ConcreteOnly("level matrices need terminal-surface data")
@@ -326,6 +363,10 @@ class CoefficientVector:
     a_tau: Fraction
     a_sigma_tau: Fraction
     a_delta: Fraction
+
+    def __post_init__(self) -> None:
+        for field in ("a_sigma", "a_tau", "a_sigma_tau", "a_delta"):
+            object.__setattr__(self, field, exact(getattr(self, field)))
 
     @classmethod
     def from_ab(cls, n: int, m: int, a, b) -> "CoefficientVector":
@@ -468,45 +509,38 @@ def stratified_evaluate(cls: DivisorClass,
 # --- family file format -------------------------------------------------------
 
 def family_to_json(family: FamilyModel) -> str:
-    """Serialize to the JSON family file format (bit-exact integers)."""
+    """Serialize to the JSON family file format (bit-exact integers). Raises
+    the family's first structural violation (_step_faults, then
+    _terminal_faults, in validate_family's words) before writing, so what
+    is written reads back as the same family."""
+    w, mode, sections = family.weights, family.mode, _sections(family.weights)
     steps: list[dict] = []
-    for step in family.steps:
-        if family.mode == CONCRETE:
-            steps.append({"sigma": sorted(step.sigma or ()),
-                          "tau": sorted(step.tau or ())})
-        else:
-            steps.append({"r1": step.r1, "r2": step.r2})
-    payload: dict = {
-        "n": family.weights.n,
-        "m": family.weights.m,
-        "k": family.weights.k,
-        "mode": family.mode,
-        "steps": steps,
-    }
-    if family.mode == CONCRETE:
-        payload["final_e_sigma"] = list(family.final_e_sigma or ())
-        payload["final_e_tau"] = list(family.final_e_tau or ())
+    for idx, step in enumerate(family.steps):
+        _raise_first(_step_faults(idx, step, mode, sections))
+        steps.append({"sigma": sorted(step.sigma), "tau": sorted(step.tau)} if mode == CONCRETE
+                     else {"r1": step.r1, "r2": step.r2})
+    payload: dict = {"n": w.n, "m": w.m, "k": w.k, "mode": mode, "steps": steps}
+    if mode == CONCRETE:
+        _raise_first(_terminal_faults(family))
+        payload.update(zip(_TERMINAL, (list(family.final_e_sigma), list(family.final_e_tau))))
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _want_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FamilyFormatError(f"{path}: expected an integer, got {value!r}")
-    return value
+def _index_set(indices, path: str, error: type[Exception] = InvalidValue) -> frozenset[int]:
+    """indices as a set of integers (exact_ints), else error naming path; an
+    index listed twice raises too, so no count is merged away."""
+    indices = exact_ints(indices, path, error)
+    found = frozenset(indices)
+    if len(found) < len(indices):
+        twice = next(x for pos, x in enumerate(indices) if x in indices[:pos])
+        raise error(f"{path}: index {twice} listed twice")
+    return found
 
 
-def _want_int_list(value, path: str) -> list[int]:
+def _want_list(value, path: str) -> list:
     if not isinstance(value, list):
         raise FamilyFormatError(f"{path}: expected a list of integers")
-    return [_want_int(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
-def _want_index_list(value, path: str) -> list[int]:
-    indices = _want_int_list(value, path)
-    if len(set(indices)) < len(indices):
-        twice = next(x for pos, x in enumerate(indices) if x in indices[:pos])
-        raise FamilyFormatError(f"{path}: index {twice} listed twice")
-    return indices
+    return value
 
 
 def family_from_json(text: str) -> FamilyModel:
@@ -524,9 +558,8 @@ def family_from_json(text: str) -> FamilyModel:
     for field in payload:
         if field not in known:
             raise FamilyFormatError(f"{field}: unknown field")
-    weights = make_weights(_want_int(payload["n"], "n"),
-                           _want_int(payload["m"], "m"),
-                           _want_int(payload["k"], "k"))
+    weights = make_weights(*(exact_int(payload[field], field, FamilyFormatError)
+                             for field in ("n", "m", "k")))
     mode = payload["mode"]
     if mode not in (CONCRETE, ABSTRACT):
         raise FamilyFormatError(
@@ -541,15 +574,15 @@ def family_from_json(text: str) -> FamilyModel:
         if mode == CONCRETE:
             if set(entry) != {"sigma", "tau"}:
                 raise FamilyFormatError(f"{path}: expected keys sigma, tau")
-            steps.append(BlowdownStep.concrete(
-                _want_index_list(entry["sigma"], f"{path}.sigma"),
-                _want_index_list(entry["tau"], f"{path}.tau")))
+            steps.append(BlowdownStep(*(
+                _index_set(_want_list(entry[name], f"{path}.{name}"), f"{path}.{name}",
+                           FamilyFormatError) for name in ("sigma", "tau"))))
         else:
             if set(entry) != {"r1", "r2"}:
                 raise FamilyFormatError(f"{path}: expected keys r1, r2")
             steps.append(BlowdownStep.abstract(
-                _want_int(entry["r1"], f"{path}.r1"),
-                _want_int(entry["r2"], f"{path}.r2")))
+                *(exact_int(entry[name], f"{path}.{name}", FamilyFormatError)
+                  for name in ("r1", "r2"))))
     for field in _TERMINAL:
         if mode == ABSTRACT and field in payload:
             raise FamilyFormatError(f"{field}: not allowed on abstract families")
@@ -558,4 +591,5 @@ def family_from_json(text: str) -> FamilyModel:
     if mode == ABSTRACT:
         return FamilyModel(weights, tuple(steps))
     return FamilyModel.concrete(weights, steps, *[
-        _want_int_list(payload[field], field) for field in _TERMINAL])
+        exact_ints(_want_list(payload[field], field), field, FamilyFormatError)
+        for field in _TERMINAL])

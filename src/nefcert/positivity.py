@@ -46,7 +46,7 @@ from .errors import (
 )
 from .families import CoefficientVector, FamilyModel, _f_series, _step_drops
 from .morphisms import pullback_reduction
-from .rational import exact
+from .rational import exact, is_int
 
 STRICTLY_POSITIVE = "strictly_positive"
 ZERO_CHARACTERIZED = "nonnegative_zero_characterized"
@@ -297,7 +297,7 @@ def _below_cap(c0: Fraction, k: int) -> bool:
 
 def ample_interval(k: int) -> tuple[Fraction, Fraction | None]:
     """The certified interval ((k+2)/(2k+2), (k+1)/(2k)]; (2/3, unbounded) at k = 1."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not is_int(k) or k < 1:
         raise InvalidWeights(f"k must be a positive integer, got {k!r}")
     if k == 1:
         return Fraction(2, 3), None

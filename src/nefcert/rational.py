@@ -1,7 +1,8 @@
 """Strict "p/q" parsing, formatting, and float-free coercion helpers.
 
 Every quantity in this package is an exact rational; floats are rejected at
-the boundary rather than silently converted.
+the boundary rather than silently converted. Integer fields take ints only
+(is_int): a float, a bool or a string is rejected, never truncated.
 """
 
 from __future__ import annotations
@@ -38,3 +39,28 @@ def exact(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool: the one integer test of every constructor."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def exact_int(value, path: str, error: type[Exception] = InvalidValue) -> int:
+    """value itself when is_int, else error naming path."""
+    if not is_int(value):
+        raise error(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def exact_ints(values, path: str, error: type[Exception] = InvalidValue) -> tuple[int, ...]:
+    """values as a tuple of integers, else error naming path or the entry
+    path[offset] at fault."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise error(f"{path}: expected a list of integers, got {values!r}") from None
+    for offset, value in enumerate(values):
+        if value.__class__ is not int and not is_int(value):  # plain ints skip the call
+            exact_int(value, f"{path}[{offset}]", error)
+    return values

@@ -18,6 +18,7 @@ from nefcert.errors import (
     ConcreteAbstractMismatch,
     ConcreteOnly,
     FamilyFormatError,
+    InvalidBoundaryKey,
     InvalidCoefficients,
     InvalidValue,
     NefcertError,
@@ -186,6 +187,123 @@ class TestValidationMessages:
         assert str(excinfo.value) == "part family on (5,0,2) listed under (5,0,1)"
 
 
+def structural_cases():
+    """validation_cases() past its first (a count range, which no reader
+    needs), and a parity fault: a family breaking one structural rule."""
+    parity = nc.FamilyModel.concrete(nc.make_weights(3, 1, 2), (), (0, 0, 1), (0,))
+    return validation_cases()[1:] + [
+        (parity, ["final_e_sigma[2]: parity differs from the other self-intersections"])]
+
+
+@st.composite
+def malformed_families(draw):
+    """Concrete families on small weights whose steps and terminal data may
+    break any structural rule: count-only steps, indices in -1..n+1 and
+    -1..m+1, terminal fields missing or one entry short or long."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(max(0, least_nonempty_m(n, k)), 3))
+    w = nc.make_weights(n, m, k)
+    steps = draw(st.lists(st.one_of(
+        st.builds(nc.BlowdownStep.concrete, st.sets(st.integers(-1, n + 1)),
+                  st.sets(st.integers(-1, m + 1))),
+        st.builds(nc.BlowdownStep.abstract, st.integers(0, n), st.integers(0, m))),
+        max_size=5))
+    terminal = [draw(st.one_of(st.none(), st.lists(st.integers(-3, 3), min_size=max(0, size - 1),
+                                                   max_size=size + 1)))
+                for size in (n, m)]
+    if terminal == [None, None]:
+        terminal[0] = []  # with both None the family would be abstract
+    return nc.FamilyModel(w, steps, *terminal)
+
+
+READERS = [("level_matrix", lambda f: nc.level_matrix(f, 0)),
+           ("f_values", lambda f: nc.f_values(f, 0)),
+           ("intersection_numbers", nc.intersection_numbers),
+           ("family_to_json", nc.family_to_json)]
+
+
+class TestOneSetOfStructureRules:
+    """The walk and family_to_json raise what validate_family reports."""
+
+    @pytest.mark.parametrize("family, violations", structural_cases(),
+                             ids=["concrete-counts", "sigma-range", "abstract-sets",
+                                  "terminal-missing", "sigma-length", "tau-length", "parity"])
+    def test_each_reader_raises_the_first_violation(self, family, violations):
+        assert nc.validate_family(family) == violations
+        for name, reader in READERS:
+            if family.mode == "abstract" and name in ("level_matrix", "intersection_numbers"):
+                with pytest.raises(ConcreteOnly):  # asks for a matrix first
+                    reader(family)
+                continue
+            with pytest.raises(InvalidValue) as excinfo:
+                reader(family)
+            assert str(excinfo.value) == violations[0], name
+
+    @given(family=malformed_families())
+    def test_malformed_families_raise_only_package_errors(self, family):
+        assert isinstance(nc.validate_family(family), list)
+        for _, reader in READERS:
+            try:
+                reader(family)
+            except NefcertError:
+                pass
+
+
+class TestExactInputs:
+    """Integers are never truncated or merged, boundary keys hold integers,
+    and potential weights are exact."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: nc.BlowdownStep.concrete([1.9, 5]), InvalidValue,
+         "sigma[0]: expected an integer, got 1.9"),
+        (lambda: nc.BlowdownStep.concrete([1, 1, 5]), InvalidValue, "sigma: index 1 listed twice"),
+        (lambda: nc.BlowdownStep.concrete([1], [True]), InvalidValue,
+         "tau[0]: expected an integer, got True"),
+        (lambda: nc.BlowdownStep(frozenset({2.0}), frozenset()), InvalidValue,
+         "sigma[0]: expected an integer, got 2.0"),
+        (lambda: nc.BlowdownStep.concrete(5), InvalidValue,
+         "sigma: expected a list of integers, got 5"),
+        (lambda: nc.BlowdownStep.abstract("2", 0), InvalidValue,
+         "r1: expected an integer, got '2'"),
+        (lambda: nc.FamilyModel.concrete(nc.make_weights(5, 0, 2), (), (0, 0, 2.7, 0, 0)),
+         InvalidValue, "final_e_sigma[2]: expected an integer, got 2.7"),
+        (lambda: nc.FamilyModel(nc.make_weights(3, 1, 2), (), (0, 0, 0), ("0",)), InvalidValue,
+         "final_e_tau[0]: expected an integer, got '0'"),
+        (lambda: nc.FamilyModel(nc.make_weights(5, 0, 2), [(3, 0)]), InvalidValue,
+         "steps: expected BlowdownSteps"),
+        (lambda: nc.FamilyModel((5, 0, 2), ()), InvalidValue,
+         "weights: expected a WeightVector, got (5, 0, 2)"),
+        (lambda: nc.f_values(diagonal_family(), 0.0), InvalidValue,
+         "level: expected an integer, got 0.0"),
+        (lambda: nc.level_matrix(diagonal_family(), False), InvalidValue,
+         "level: expected an integer, got False"),
+        (lambda: nc.canonical_boundary_key(nc.make_weights(7, 0, 2), "3", 0), InvalidBoundaryKey,
+         "i must be an integer, got '3'"),
+        (lambda: nc.perturbed_certify(7, 0, 2, F(7, 10), {(3.0, 0): F(-1, 24)}),
+         InvalidBoundaryKey, "i must be an integer, got 3.0"),
+        (lambda: nc.DivisorClass(nc.make_weights(7, 0, 2), 0, (), 0, 0, {(3, 0.0): 1}),
+         InvalidBoundaryKey, "j must be an integer, got 0.0"),
+        (lambda: nc.CoefficientVector(0.5, 0, 0, 1), TypeError, "exact rational required, got 0.5"),
+    ], ids=["float-index", "repeated-index", "bool-index", "direct-step", "not-a-list",
+            "str-count", "float-terminal", "direct-family", "step-type", "weights-type",
+            "float-level", "bool-level", "str-key", "float-eps-key", "float-class-key",
+            "float-weight"])
+    def test_each_input_is_rejected_naming_it(self, build, error, message):
+        with pytest.raises(error) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+    def test_potential_weights_are_fractions(self):
+        coeffs = nc.CoefficientVector(1, "1/2", 0, 1)
+        fields = (coeffs.a_sigma, coeffs.a_tau, coeffs.a_sigma_tau, coeffs.a_delta)
+        assert fields == (1, F(1, 2), 0, 1) and [type(v) for v in fields] == [F] * 4
+        series = nc.g_series(stable_model(), nc.CoefficientVector(1, 0, 0, 1))
+        assert series[0] == 2 and [type(v) for v in series] == [F] * 5
+        low = nc.min_drop(7, 0, 2, nc.CoefficientVector("1/2", 0, 0, 1))
+        assert (low.r1, low.r2, low.value) == (3, 0, 0)
+
+
 class TestLevelMatrix:
     def test_diagonal_family_level_zero(self):
         matrix = nc.level_matrix(diagonal_family(), 0)
@@ -219,7 +337,8 @@ class TestLevelMatrix:
         with pytest.raises(ValueError) as excinfo:
             nc.level_matrix(fam, 0)
         assert isinstance(excinfo.value, NefcertError)
-        assert str(excinfo.value) == "terminal self-intersections have mixed parities"
+        assert str(excinfo.value) == \
+            "final_e_sigma[2]: parity differs from the other self-intersections"
 
     def test_section_indices_outside_the_range_are_rejected(self):
         # section 0 would wrap to row -1 and lower section 5's self-intersection
@@ -230,10 +349,10 @@ class TestLevelMatrix:
             with pytest.raises(ValueError) as excinfo:
                 reader(fam)
             assert isinstance(excinfo.value, NefcertError)
-            assert str(excinfo.value) == "steps[0].sigma: index 0 outside 1..5"
+            assert str(excinfo.value) == "steps[0].sigma: indices outside 1..5"
         steps = (nc.BlowdownStep.concrete({1}, {1}), nc.BlowdownStep.concrete({2}, {3}))
         fam = nc.FamilyModel.concrete(nc.make_weights(3, 2, 2), steps, (0,) * 3, (0,) * 2)
-        with pytest.raises(ValueError, match=r"^steps\[1\]\.tau: index 3 outside 1\.\.2$"):
+        with pytest.raises(ValueError, match=r"^steps\[1\]\.tau: indices outside 1\.\.2$"):
             nc.level_matrix(fam, 0)
         # the level above the bad step never crosses it
         assert nc.level_matrix(fam, 2) == [[0] * 5 for _ in range(5)]
@@ -390,7 +509,7 @@ class TestResumedSweep:
             steps = (nc.BlowdownStep.concrete({1, 6}), nc.BlowdownStep.concrete({1, 2}))
             return nc.FamilyModel.concrete(nc.make_weights(5, 0, 2), steps, (0,) * 5)
 
-        message = "steps[0].sigma: index 6 outside 1..5"
+        message = "steps[0].sigma: indices outside 1..5"
         with pytest.raises(InvalidValue) as fresh:
             nc.f_values(bad(), 0)
         assert str(fresh.value) == message

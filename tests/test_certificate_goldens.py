@@ -123,6 +123,10 @@ API_CASES = [
     (certify_interval, 3, 3, 40, F(41, 80), None),
     (certify_interval, 1, 6, 60, F(7441, 14640), None),
     (certify_interval, 1, 6, 60, F(61, 120), None),
+    # cold deep chains whose legs above a stratum's size score one settled cell
+    (certify_interval, 8, 8, 85, F(14791, 29240), None),
+    (certify_interval, 7, 7, 60, F(7441, 14640), None),
+    (certify_interval, 6, 2, 112, F(25537, 50624), None),
     (perturbed_certify, 7, 0, 2, F(7, 10), {(1, 1): F(-1, 100), (3, 0): F(1, 50)}),
     (perturbed_certify, 9, 2, 4, F(61, 100), {(2, 1): F(-1, 100), (0, 2): F(1, 7)}),
     # least drops of two levels tie at different counts: the higher level's wins

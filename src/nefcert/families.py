@@ -165,6 +165,7 @@ def validate_family(family: FamilyModel) -> list[str]:
     violations: list[str] = []
     for idx, step in enumerate(family.steps):
         path = f"steps[{idx}]"
+        violations += _step_faults(idx, step, mode, sections)  # first: the fault the readers raise
         if not (0 <= step.r1 <= w.n):
             violations.append(f"{path}.r1: {step.r1} out of range 0..{w.n}")
             continue
@@ -178,7 +179,6 @@ def validate_family(family: FamilyModel) -> list[str]:
         if step.r2 >= heavy.stop:
             violations.append(f"{path}: complement weight (n-r1)/k + (m-r2) = "
                               f"{Fraction(w.n - step.r1, w.k) + (w.m - step.r2)} is not > 1")
-        violations += _step_faults(idx, step, mode, sections)
 
     if mode == ABSTRACT:
         return violations

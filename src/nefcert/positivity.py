@@ -435,7 +435,8 @@ def _leg_class(n: int, m: int, k: int, c: Fraction | None) -> tuple[Fraction, Fr
     """(c, a, b) of every leg on an (n, m', k) grid with min(m', 2) = m: for k >= 2
     c0_lower's base value, the mean of _case_table's two ends of c (a point is
     both) in integers; at k = 1 the given c (3/4 when None), with (a, b) at c
-    capped at 1 on m = 1 grids (see _certify). The memo lets legs share them."""
+    capped at 1 on m = 1 grids (see _certify). The memo lets legs share them,
+    settled legs (_settled_cell) included."""
     if k > 1:
         ends = _case_table(n, m, k)[1]
         (p, q), (r, s) = ends[0], ends[-1]
@@ -452,10 +453,34 @@ def _stratum_leg(n: int, m: int, k: int, c: Fraction | None) -> TraceEntry:
     """The eps-free leg of stratum (n, m) at level k: for k >= 2 the base leg at
     c0, strict when _below_cap(leg.c, k), which callers reach with c = None; at
     k = 1 the leg at c (None for 3/4) on the stratum's own grid when m = 0 and
-    on the regrouped grid (n + m - 1, 1) otherwise."""
+    on the regrouped grid (n + m - 1, 1) otherwise. A settled leg, k >= 2,
+    n <= k and m >= 2, scores only its grid's settled cell (_settled_cell)."""
     n, m = _grid_shape(n, m, k)
     grid = make_weights(n, m, k)  # the leg's only validation
-    return _leg(grid, *_leg_class(n, min(m, 2), k, c))
+    # on a valid grid (m + n/k > 2, m <= 1 at k = 1) n <= k implies m >= 2 and k >= 2
+    cells = _settled_cell(n, m) if n <= k else None
+    return _leg(grid, *_leg_class(n, min(m, 2), k, c), cells=cells)
+
+
+@lru_cache(maxsize=256)
+def _settled_cell(n: int, m: int) -> tuple[tuple[int, tuple[int]]] | None:
+    """The first least cell of every settled leg on (n, m), as _leg's cells;
+    None when no cell is first least at both ends, or the grid has none.
+
+    At every level k >= max(2, n) the admissible cells of (n, m, k), m >= 2,
+    are those of level max(2, n) (heavy_counts reads k only through
+    (k - i)//k and (k - n + i)//k), case 3 puts c0 = (2k + 3)/(4(k + 1)) in
+    (1/2, c0(max(2, n))], and each cell's drop is affine in c. A cell first
+    least at both ends of that range has every earlier cell strictly above it
+    and every later cell at or above it there, so it is first least at every
+    settled level."""
+    level = max(2, n)
+    grid, half = make_weights(n, m, level), Fraction(*_case_table(n, m, level)[1][0])
+    top = _leg(grid, *_leg_class(n, 2, level, None)).minimum
+    bottom = _leg(grid, half, *ab_substitution(n, m, level, half)).minimum
+    if top is None or (top.r1, top.r2) != (bottom.r1, bottom.r2):
+        return None
+    return ((top.r1, (top.r2,)),)
 
 
 def _shifted_leg(leg: TraceEntry, eps: Mapping[BoundaryKey, Fraction], unused: set) -> TraceEntry:

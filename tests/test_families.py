@@ -189,10 +189,15 @@ class TestValidationMessages:
 
 def structural_cases():
     """validation_cases() past its first (a count range, which no reader
-    needs), and a parity fault: a family breaking one structural rule."""
+    needs), a parity fault, each a family breaking one structural rule, and a
+    step whose indices and count are both out of range: the index fault, the
+    one the readers raise, comes first."""
     parity = nc.FamilyModel.concrete(nc.make_weights(3, 1, 2), (), (0, 0, 1), (0,))
+    wide_step = nc.FamilyModel.concrete(nc.make_weights(5, 0, 2),
+                                        [nc.BlowdownStep.concrete(range(-1, 7))], (0,) * 5)
     return validation_cases()[1:] + [
-        (parity, ["final_e_sigma[2]: parity differs from the other self-intersections"])]
+        (parity, ["final_e_sigma[2]: parity differs from the other self-intersections"]),
+        (wide_step, ["steps[0].sigma: indices outside 1..5", "steps[0].r1: 8 out of range 0..5"])]
 
 
 @st.composite
@@ -228,7 +233,8 @@ class TestOneSetOfStructureRules:
 
     @pytest.mark.parametrize("family, violations", structural_cases(),
                              ids=["concrete-counts", "sigma-range", "abstract-sets",
-                                  "terminal-missing", "sigma-length", "tau-length", "parity"])
+                                  "terminal-missing", "sigma-length", "tau-length", "parity",
+                                  "sigma-and-r1-range"])
     def test_each_reader_raises_the_first_violation(self, family, violations):
         assert nc.validate_family(family) == violations
         for name, reader in READERS:

@@ -568,6 +568,7 @@ class TestLegMemo:
 
     def test_memo_is_bounded(self):
         assert positivity._cached_stratum_leg.cache_info().maxsize == 3072
+        assert positivity._settled_cell.cache_info().maxsize == 256
 
     # bytes the 2048-entry memo held after an (8, 8, 60) certification on
     # CPython 3.11, when every leg kept its own c, a and b
@@ -576,7 +577,8 @@ class TestLegMemo:
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="object sizes of CPython 3.11")
     def test_memo_footprint_stays_within_budget(self):
         for memo in (positivity._cached_stratum_leg, positivity._leg_class,
-                     positivity._cached_weights, positivity._check_transport):
+                     positivity._cached_weights, positivity._check_transport,
+                     positivity._settled_cell):
             memo.cache_clear()
         gc.collect()
         tracemalloc.start()
@@ -1086,6 +1088,67 @@ class TestIntegerLegs:
                 for level in (k, 2):
                     assert positivity._stratum_leg(n, m, level, None) == \
                         composed_leg(n, m, level), (n, m, level)
+
+
+class TestSettledLegs:
+    """A settled leg (k >= 2, n <= k, m >= 2) scores only the cell that is
+    first least at both ends of its grid's c0 range, c0(max(2, n)) and 1/2;
+    it must equal the full scan and the exhaustive Fraction table."""
+
+    @staticmethod
+    def full_scan(leg):
+        return positivity._leg(leg.grid, leg.c, leg.a, leg.b)
+
+    def test_settled_legs_equal_the_full_scan_and_the_fraction_table(self):
+        settled = 0
+        for n in range(13):
+            for m in range(2, 9):
+                for k in range(2, 61):  # below n too, where the rule must not apply
+                    if not m + F(n, k) > 2:
+                        continue
+                    leg = positivity._stratum_leg(n, m, k, None)
+                    assert leg == self.full_scan(leg), (n, m, k)
+                    if n <= k and leg.minimum is not None:
+                        coeffs = nc.CoefficientVector.from_ab(n, m, leg.a, leg.b)
+                        assert as_triple(leg.minimum) == oracle_min(n, m, k, coeffs), (n, m, k)
+                        settled += positivity._settled_cell(n, m) is not None
+        assert settled > 4000
+
+    def test_a_moved_cell_gives_the_full_scan(self, monkeypatch):
+        monkeypatch.setattr(positivity, "_settled_cell", lambda n, m: None)
+        for n, m, k in ((8, 8, 85), (2, 3, 2), (6, 2, 112), (12, 8, 12)):
+            leg = positivity._stratum_leg(n, m, k, None)
+            assert leg.minimum is not None and leg == self.full_scan(leg), (n, m, k)
+
+    def test_a_cell_that_moves_between_the_ends_is_not_settled(self, monkeypatch):
+        # read the lower end at c = 1 instead of 1/2: there the first least
+        # cell differs from the one at c0(max(2, n)) on most grids
+        ab_substitution = positivity.ab_substitution
+        monkeypatch.setattr(positivity, "ab_substitution", lambda n, m, k, c: ab_substitution(
+            n, m, k, F(1) if c == F(1, 2) else c))
+        positivity._settled_cell.cache_clear()
+        try:
+            seen = Counter()
+            for n in range(13):
+                for m in range(3 if n == 0 else 2, 9):
+                    level = max(2, n)
+                    ends = []
+                    for c in (nc.c0_lower(n, m, level)[0], F(1)):
+                        coeffs = nc.CoefficientVector.from_ab(
+                            n, m, *nc.ab_substitution(n, m, level, c))
+                        ends.append(oracle_min(n, m, level, coeffs))
+                    cell = positivity._settled_cell(n, m)
+                    if ends[0] is None or ends[0][:2] != ends[1][:2]:
+                        assert cell is None, (n, m)
+                    else:
+                        assert cell == ((ends[0][0], (ends[0][1],)),), (n, m)
+                    seen[cell is None] += 1
+                    for k in (level, level + 1, 60):
+                        leg = positivity._stratum_leg(n, m, k, None)
+                        assert leg == self.full_scan(leg), (n, m, k)
+            assert seen[True] > 40 and seen[False] > 10, seen
+        finally:
+            positivity._settled_cell.cache_clear()
 
 
 class TestShiftedLegs:

@@ -32,6 +32,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
+from weakref import ref
 
 from .divisors import (
     BoundaryKey,
@@ -406,8 +407,9 @@ def _step_drops(n: int, m: int, r1: int, r2: int) -> tuple[Fraction, Fraction, F
 
 # At most one (family, level, matrix, values): where the last f_values call
 # left its sweep. Keyed by identity, which cannot go stale on a frozen
-# FamilyModel. A call pops it before moving its matrix, so no two calls move
-# one matrix, and a move that fails leaves nothing behind.
+# FamilyModel, through a weak reference, so the sweep keeps no family alive
+# (a dead one is a miss). A call pops it before moving its matrix, so no two
+# calls move one matrix, and a move that fails leaves nothing behind.
 _last_sweep: list[tuple] = []
 
 
@@ -426,11 +428,11 @@ def f_values(family: FamilyModel, level: int) -> tuple[Fraction, Fraction, Fract
         last, at, matrix, values = _last_sweep.pop()
     except IndexError:
         last = None
-    if last is not family:
+    if last is None or last() is not family:
         matrix, values = _terminal(family)
         at = family.n_steps
     values = _cross(family, matrix, values, at, level)
-    _last_sweep[:] = [(family, level, matrix, values)]
+    _last_sweep[:] = [(ref(family), level, matrix, values)]
     return _checked(family, level, matrix, values)
 
 

@@ -44,7 +44,7 @@ from .errors import (
     NefcertError,
     NoCaseApplies,
 )
-from .families import CoefficientVector, FamilyModel, _f_series, _step_drops
+from .families import CoefficientVector, FamilyModel, _f_series, _last_sweep, _step_drops
 from .morphisms import pullback_reduction
 from .rational import exact, is_int
 
@@ -517,8 +517,9 @@ _MemoInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 def _random_eviction_memo(fn, maxsize: int):
     """fn, never None, memoized for up to maxsize argument tuples; a random
-    entry makes room. cache_info and cache_clear work as lru_cache's."""
-    values, keys, counts, pick = {}, [], [0, 0], Random(0).randrange
+    entry makes room. cache_info and cache_clear work as lru_cache's; a
+    cleared memo evicts as a fresh one does."""
+    values, keys, counts, rng = {}, [], [0, 0], Random(0)
 
     def cached(*key):
         value = values.get(key)
@@ -528,7 +529,7 @@ def _random_eviction_memo(fn, maxsize: int):
             if len(keys) < maxsize:
                 keys.append(key)
             else:
-                at = pick(maxsize)
+                at = rng.randrange(maxsize)
                 del values[keys[at]]
                 keys[at] = key
         return value
@@ -537,6 +538,7 @@ def _random_eviction_memo(fn, maxsize: int):
         values.clear()
         keys.clear()
         counts[:] = [0, 0]
+        rng.seed(0)
 
     cached.cache_clear = cache_clear
     cached.cache_info = lambda: _MemoInfo(*counts, maxsize, len(values))
@@ -557,6 +559,27 @@ def _check_transport(n: int, m: int, k: int) -> None:
     if (pullback_reduction(dk_class(make_weights(n, m, k), c))
             != dk_class(make_weights(n, m, k - 1), c)):
         raise NefcertError("internal: endpoint transport identity failed")
+
+
+# All process-wide state: the five memos and where the last f_values call left
+# its sweep. No certificate depends on it; tests and tools that need a fresh
+# process's state call _clear_state, and a memo added later joins this table.
+_STATE = {"_cached_stratum_leg": _cached_stratum_leg, "_leg_class": _leg_class,
+          "_cached_weights": _cached_weights, "_check_transport": _check_transport,
+          "_settled_cell": _settled_cell, "_last_sweep": _last_sweep}
+
+
+def _clear_state() -> None:
+    """Empty every piece of _STATE, as a fresh process has it."""
+    for piece in _STATE.values():
+        (piece.clear if isinstance(piece, list) else piece.cache_clear)()
+
+
+def _state_info() -> dict[str, _MemoInfo]:
+    """Each piece's hits, misses, bound and size; the sweep, bound 1, counts
+    no hits or misses."""
+    return {name: _MemoInfo(None, None, 1, len(piece)) if isinstance(piece, list)
+            else piece.cache_info() for name, piece in _STATE.items()}
 
 
 def _transports(verdict: str, zero_strata, witness: DropEvaluation | None, k: int) -> bool:

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import random
 import time
+import weakref
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -526,6 +528,19 @@ class TestResumedSweep:
         assert str(resumed.value) == message
         # the failed move leaves no half-moved state behind
         assert [nc.f_values(fam, level) for level in (1, 2)] == above
+
+
+def test_the_last_sweep_keeps_no_family_alive():
+    fam = nc.family_from_json((Path(__file__).with_name("families") / "chain.json").read_text())
+    series = families._f_series(fam)
+    assert nc.f_values(fam, 3) == series[3]
+    alive = weakref.ref(fam)
+    del fam
+    gc.collect()
+    assert alive() is None
+    # a sweep whose family died is a miss: an equal new family starts fresh
+    fam = nc.family_from_json((Path(__file__).with_name("families") / "chain.json").read_text())
+    assert nc.f_values(fam, 3) == series[3]
 
 
 class TestHelpers:

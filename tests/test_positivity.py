@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import gc
 import importlib.util
 import itertools
+import pkgutil
 import random
 import sys
 import tracemalloc
@@ -14,7 +16,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import nefcert as nc
-from nefcert import positivity
+from nefcert import families, positivity
 from nefcert.divisors import least_nonempty_m
 from nefcert.errors import (COutOfInterval, InvalidBoundaryKey, InvalidWeights, NefcertError,
                             NoCaseApplies)
@@ -493,7 +495,7 @@ class TestLegMemo:
     def test_cold_and_warm_certificates_are_equal(self):
         for n, m, k in self.VECTORS:
             for c in self._cs(k):
-                positivity._cached_stratum_leg.cache_clear()
+                positivity._clear_state()
                 cold = nc.certify_interval(n, m, k, c)
                 assert positivity._cached_stratum_leg.cache_info().misses > 0
                 warm = nc.certify_interval(n, m, k, c)
@@ -502,7 +504,7 @@ class TestLegMemo:
                 assert len(warm.trace) == len(warm.strata_checked)
 
     def test_perturbation_leaves_the_memo_alone(self):
-        positivity._cached_stratum_leg.cache_clear()
+        positivity._clear_state()
         before = {(n, m, k, c): nc.certify_interval(n, m, k, c)
                   for n, m, k in self.VECTORS for c in self._cs(k)}
         info = positivity._cached_stratum_leg.cache_info()
@@ -554,7 +556,7 @@ class TestLegMemo:
             with monkeypatch.context() as patch:
                 patch.setattr(positivity, "_cached_stratum_leg", positivity._stratum_leg)
                 reference = nc.perturbed_certify(n, m, k, c, eps)
-            positivity._cached_stratum_leg.cache_clear()
+            positivity._clear_state()
             assert nc.perturbed_certify(n, m, k, c, eps) == reference
             nc.certify_interval(n, m, k, c)
             hits = positivity._cached_stratum_leg.cache_info().hits
@@ -566,20 +568,13 @@ class TestLegMemo:
                    and nc.BoundaryKey(0, 2).is_canonical(e.grid)}
         assert touched and touched != set(range(1, 6))
 
-    def test_memo_is_bounded(self):
-        assert positivity._cached_stratum_leg.cache_info().maxsize == 3072
-        assert positivity._settled_cell.cache_info().maxsize == 256
-
     # bytes the 2048-entry memo held after an (8, 8, 60) certification on
     # CPython 3.11, when every leg kept its own c, a and b
     FOOTPRINT_2048 = 1285 * 1024
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="object sizes of CPython 3.11")
     def test_memo_footprint_stays_within_budget(self):
-        for memo in (positivity._cached_stratum_leg, positivity._leg_class,
-                     positivity._cached_weights, positivity._check_transport,
-                     positivity._settled_cell):
-            memo.cache_clear()
+        positivity._clear_state()
         gc.collect()
         tracemalloc.start()
         try:
@@ -604,16 +599,16 @@ class TestTransportMemo:
             return pullback(cls)
 
         monkeypatch.setattr(positivity, "pullback_reduction", counted)
-        positivity._check_transport.cache_clear()
+        positivity._clear_state()
         first = nc.certify_interval(9, 2, 5, _interior(5))
         second = nc.certify_interval(9, 2, 4, _interior(4))
         assert sorted(calls) == [(9, 2, level) for level in range(2, 6)]
-        positivity._check_transport.cache_clear()
+        positivity._clear_state()
         assert nc.certify_interval(9, 2, 5, _interior(5)) == first
         assert nc.certify_interval(9, 2, 4, _interior(4)) == second
 
     def test_a_failed_identity_raises_every_time(self, monkeypatch):
-        positivity._check_transport.cache_clear()
+        positivity._clear_state()
         monkeypatch.setattr(positivity, "pullback_reduction",
                             lambda cls: nc.zero_class(cls.ambient))
         for _ in range(2):
@@ -622,8 +617,59 @@ class TestTransportMemo:
         monkeypatch.undo()
         assert nc.certify_interval(7, 0, 3, _interior(3)).verdict == STRICTLY_POSITIVE
 
-    def test_memo_is_bounded(self):
-        assert positivity._check_transport.cache_info().maxsize == 4096
+
+def _unregistered_memos():
+    """module.name of every object with cache_clear in a nefcert module's
+    namespace that positivity._STATE does not hold."""
+    registered = [id(piece) for piece in positivity._STATE.values()]
+    modules = [nc] + [importlib.import_module(f"nefcert.{info.name}")
+                      for info in pkgutil.iter_modules(nc.__path__)]
+    return [f"{module.__name__}.{name}" for module in modules
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_clear") and id(value) not in registered]
+
+
+class TestProcessState:
+    """positivity._STATE holds all process-wide state: five memos and the last
+    f_values sweep. _clear_state empties it; _state_info reads it."""
+
+    def test_every_piece_is_bounded(self):
+        assert {name: info.maxsize for name, info in positivity._state_info().items()} == {
+            "_cached_stratum_leg": 3072, "_leg_class": 256, "_cached_weights": 3072,
+            "_check_transport": 4096, "_settled_cell": 256, "_last_sweep": 1}
+
+    def test_every_memo_is_registered(self, monkeypatch):
+        assert _unregistered_memos() == []
+        monkeypatch.setattr(families, "_new_memo", functools.lru_cache(len), raising=False)
+        assert _unregistered_memos() == ["nefcert.families._new_memo"]
+
+    def test_clearing_leaves_every_piece_as_a_fresh_process_has_it(self):
+        family = nc.family_from_json(
+            (Path(__file__).with_name("families") / "chain.json").read_text())
+        nc.certify_interval(9, 2, 4, _interior(4))
+        nc.perturbed_certify(7, 0, 2, F(7, 10), {(3, 0): F(-1, 5)})
+        nc.f_values(family, 3)
+        assert all(info.currsize for info in positivity._state_info().values())
+        positivity._clear_state()
+        info = positivity._state_info()
+        assert list(info) == list(positivity._STATE) and len(info) == 6
+        assert {piece.currsize for piece in info.values()} == {0}
+        assert {(piece.hits, piece.misses) for name, piece in info.items()
+                if name != "_last_sweep"} == {(0, 0)}
+
+    def test_a_cleared_leg_memo_evicts_as_a_fresh_one(self):
+        def missed(memo):
+            seen = []
+            for key in range(60):  # 7 keys in turn overflow 4 entries
+                misses = memo.cache_info().misses
+                memo(key % 7)
+                seen.append(memo.cache_info().misses > misses)
+            return seen
+
+        used = positivity._random_eviction_memo(str, 4)
+        missed(used)
+        used.cache_clear()
+        assert missed(used) == missed(positivity._random_eviction_memo(str, 4))
 
 
 def negative_leg(monkeypatch, shape):
@@ -1126,7 +1172,7 @@ class TestSettledLegs:
         ab_substitution = positivity.ab_substitution
         monkeypatch.setattr(positivity, "ab_substitution", lambda n, m, k, c: ab_substitution(
             n, m, k, F(1) if c == F(1, 2) else c))
-        positivity._settled_cell.cache_clear()
+        positivity._clear_state()
         try:
             seen = Counter()
             for n in range(13):
@@ -1148,7 +1194,7 @@ class TestSettledLegs:
                         assert leg == self.full_scan(leg), (n, m, k)
             assert seen[True] > 40 and seen[False] > 10, seen
         finally:
-            positivity._settled_cell.cache_clear()
+            positivity._clear_state()
 
 
 class TestShiftedLegs:

@@ -62,6 +62,17 @@ def _weights(n: str, m: str, k: str):
     return make_weights(_int(n, "--n"), _int(m, "--m"), _int(k, "--k"))
 
 
+def _input_class(command: str, ambient, use_dk: bool, c_text, read_record):
+    """The class a command reads: the dk ray at --c with --dk, else the
+    record text read_record() returns, on the space ambient() returns.
+    --dk without --c fails before either is called."""
+    if use_dk and c_text is None:
+        _fail(f"{command}: --dk needs --c")
+    space = ambient()
+    return (dk_class(space, _rat(c_text, "--c")) if use_dk
+            else class_from_record(read_record(), space))
+
+
 def _class_record(cls) -> dict:
     """The fields of a class as --json prints them."""
     return {
@@ -170,14 +181,9 @@ _TRANSPORTS = (
 def _transport_command(name, doc, apply, input_space, comment):
     def command(n, m, k, in_path, use_dk, c_text, as_json) -> None:
         target = _weights(n, m, k)
-        if use_dk and c_text is None:
-            _fail(f"{name}: --dk needs --c")
-        ambient = input_space(target) if input_space else target
-        if use_dk:
-            cls = dk_class(ambient, _rat(c_text, "--c"))
-        else:
-            text = sys.stdin.read() if in_path is None else _read_text(in_path, "--in")
-            cls = class_from_record(text, ambient)
+        cls = _input_class(
+            name, lambda: input_space(target) if input_space else target, use_dk, c_text,
+            lambda: sys.stdin.read() if in_path is None else _read_text(in_path, "--in"))
         result = apply(cls, target)
         line = comment(target, result) if comment else None
         if line and not as_json:
@@ -226,7 +232,7 @@ def family_group() -> None:
 @click.argument("path", type=click.Path())
 def family_validate(path) -> None:
     """Report invariant violations; silent exit 0 when none."""
-    family = _load_family(path)
+    _load_family(path)
     click.echo("valid")
 
 
@@ -238,15 +244,9 @@ def family_validate(path) -> None:
 def family_eval(path, class_path, use_dk, c_text) -> None:
     """Pair a divisor class with the family."""
     family = _load_family(path)
-    weights = family.weights
-    if use_dk:
-        if c_text is None:
-            _fail("eval: --dk needs --c")
-        cls = dk_class(weights, _rat(c_text, "--c"))
-    elif class_path is not None:
-        cls = class_from_record(_read_text(class_path, "--class-file"), weights)
-    else:
-        _fail("eval: need --dk --c or --class-file")
+    cls = _input_class("eval", lambda: family.weights, use_dk, c_text,
+                       lambda: _fail("eval: need --dk --c or --class-file") if class_path is None
+                       else _read_text(class_path, "--class-file"))
     click.echo(format_rational(fam.evaluate_class(cls, family)))
 
 

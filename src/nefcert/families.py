@@ -16,7 +16,11 @@ Concrete families carry each step's section sets, whose sizes are the step
 counts (r1, r2), and the terminal data; abstract families keep only the
 counts. validate_family owns the structural rules: the walk and
 family_to_json raise the first fault of _step_faults and _terminal_faults,
-in its words, before they use a step or the terminal data. One walk from
+in its words, before they use a step or the terminal data. A step's indices
+are checked by their least and largest index, so no pass builds 1..n: an
+abstract family costs nothing per section. Values are checked once, by
+BlowdownStep and FamilyModel; family_from_json checks only the file's shape
+and reports their fault under the field's path. One walk from
 the terminal surface down to level 0 updates a single level matrix in
 place and telescopes the potentials; level_matrix, f_values and g_series
 all read from it. f_values keeps the walk's state between calls on one
@@ -162,11 +166,11 @@ class IntersectionReport:
 
 def validate_family(family: FamilyModel) -> list[str]:
     """All invariant violations, each naming the offending step or matrix entry."""
-    w, mode, sections = family.weights, family.mode, _sections(family.weights)
+    w, mode = family.weights, family.mode
     violations: list[str] = []
     for idx, step in enumerate(family.steps):
         path = f"steps[{idx}]"
-        violations += _step_faults(idx, step, mode, sections)  # first: the fault the readers raise
+        violations += _step_faults(idx, step, mode, w)  # first: the fault the readers raise
         if not (0 <= step.r1 <= w.n):
             violations.append(f"{path}.r1: {step.r1} out of range 0..{w.n}")
             continue
@@ -204,24 +208,20 @@ def validate_family(family: FamilyModel) -> list[str]:
     return violations
 
 
-def _sections(w: WeightVector) -> tuple[set[int], set[int]]:
-    """The light indices 1..n and the heavy indices 1..m, once per pass."""
-    return set(range(1, w.n + 1)), set(range(1, w.m + 1))
-
-
-def _step_faults(index: int, step: BlowdownStep, mode: str, sections) -> list[str]:
+def _step_faults(index: int, step: BlowdownStep, mode: str, w: WeightVector) -> list[str]:
     """validate_family's structural messages for steps[index], in its order:
     section sets exactly on concrete families, then indices inside 1..n and
-    1..m (sections, from _sections). A sound step costs a mode test and two
-    subset tests; a message is formatted only for a fault."""
+    1..m, read off each set's least and largest index. No pass builds the
+    index ranges, so a step costs the same whatever n and m are; a message
+    is formatted only for a fault."""
     if (step._counts is None) != (mode == CONCRETE):  # is_concrete, without the property call
         return [f"steps[{index}]: concrete family needs explicit section sets" if mode == CONCRETE
                 else f"steps[{index}]: abstract family carries section sets"]
-    if mode == ABSTRACT or (step.sigma <= sections[0] and step.tau <= sections[1]):
+    if mode == ABSTRACT:
         return []
-    return [f"steps[{index}].{name}: indices outside 1..{len(allowed)}"
-            for name, indices, allowed in zip(("sigma", "tau"), (step.sigma, step.tau), sections)
-            if not indices <= allowed]
+    return [f"steps[{index}].{name}: indices outside 1..{bound}"
+            for name, indices, bound in (("sigma", step.sigma, w.n), ("tau", step.tau, w.m))
+            if indices and not 1 <= min(indices) <= max(indices) <= bound]
 
 
 def _terminal_faults(family: FamilyModel) -> list[str]:
@@ -278,12 +278,12 @@ def _cross(family: FamilyModel, matrix: list[list[int]] | None, values,
     w = family.weights
     down = stop < start
     if down:
-        mode, sections = family.mode, _sections(w)
+        mode = family.mode
     unit, combine = (-1, add) if down else (1, sub)
     for level in range(start - 1, stop - 1, -1) if down else range(start, stop):
         step = family.steps[level]
         if down:
-            _raise_first(_step_faults(level, step, mode, sections))
+            _raise_first(_step_faults(level, step, mode, w))
         if matrix is not None:
             members = {s - 1 for s in step.sigma} | {w.n + t - 1 for t in step.tau}
             for x in members:
@@ -515,10 +515,10 @@ def family_to_json(family: FamilyModel) -> str:
     the family's first structural violation (_step_faults, then
     _terminal_faults, in validate_family's words) before writing, so what
     is written reads back as the same family."""
-    w, mode, sections = family.weights, family.mode, _sections(family.weights)
+    w, mode = family.weights, family.mode
     steps: list[dict] = []
     for idx, step in enumerate(family.steps):
-        _raise_first(_step_faults(idx, step, mode, sections))
+        _raise_first(_step_faults(idx, step, mode, w))
         steps.append({"sigma": sorted(step.sigma), "tau": sorted(step.tau)} if mode == CONCRETE
                      else {"r1": step.r1, "r2": step.r2})
     payload: dict = {"n": w.n, "m": w.m, "k": w.k, "mode": mode, "steps": steps}
@@ -528,14 +528,14 @@ def family_to_json(family: FamilyModel) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _index_set(indices, path: str, error: type[Exception] = InvalidValue) -> frozenset[int]:
-    """indices as a set of integers (exact_ints), else error naming path; an
-    index listed twice raises too, so no count is merged away."""
-    indices = exact_ints(indices, path, error)
+def _index_set(indices, path: str) -> frozenset[int]:
+    """indices as a set of integers (exact_ints), else InvalidValue naming
+    path; an index listed twice raises too, so no count is merged away."""
+    indices = exact_ints(indices, path)
     found = frozenset(indices)
     if len(found) < len(indices):
         twice = next(x for pos, x in enumerate(indices) if x in indices[:pos])
-        raise error(f"{path}: index {twice} listed twice")
+        raise InvalidValue(f"{path}: index {twice} listed twice")
     return found
 
 
@@ -545,8 +545,28 @@ def _want_list(value, path: str) -> list:
     return value
 
 
+def _under(path: str, build, *args):
+    """build(*args), its InvalidValue raised as a FamilyFormatError whose
+    message is prefixed with path, the field the value came from."""
+    try:
+        return build(*args)
+    except InvalidValue as err:
+        raise FamilyFormatError(path + str(err)) from None
+
+
 def family_from_json(text: str) -> FamilyModel:
-    """Parse the JSON family file format; errors carry field paths."""
+    """Parse the JSON family file format; errors carry field paths.
+
+    The reader checks the file's shape: an object with the required fields
+    and no others, a known mode, a list of step objects with the mode's
+    keys, lists where lists belong, and the terminal fields the mode asks
+    for. Values are checked once, where every family is built: exact_int
+    for n, m and k, BlowdownStep for step indices and counts, FamilyModel
+    for the terminal entries. Their InvalidValue is raised here as a
+    FamilyFormatError under the field's path (_under). So within a step, or
+    the terminal pair, a field that is not a list is reported before its
+    sibling's integer or index fault: shape before values.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
@@ -556,42 +576,31 @@ def family_from_json(text: str) -> FamilyModel:
     for field in ("n", "m", "k", "mode", "steps"):
         if field not in payload:
             raise FamilyFormatError(f"{field}: missing")
-    known = {"n", "m", "k", "mode", "steps", *_TERMINAL}
     for field in payload:
-        if field not in known:
+        if field not in ("n", "m", "k", "mode", "steps", *_TERMINAL):
             raise FamilyFormatError(f"{field}: unknown field")
-    weights = make_weights(*(exact_int(payload[field], field, FamilyFormatError)
-                             for field in ("n", "m", "k")))
+    weights = make_weights(*(_under("", exact_int, payload[key], key) for key in ("n", "m", "k")))
     mode = payload["mode"]
     if mode not in (CONCRETE, ABSTRACT):
-        raise FamilyFormatError(
-            f"mode: expected '{CONCRETE}' or '{ABSTRACT}', got {mode!r}")
+        raise FamilyFormatError(f"mode: expected '{CONCRETE}' or '{ABSTRACT}', got {mode!r}")
     if not isinstance(payload["steps"], list):
         raise FamilyFormatError("steps: expected a list")
+    names, build = ((("sigma", "tau"), BlowdownStep.concrete) if mode == CONCRETE
+                    else (("r1", "r2"), BlowdownStep.abstract))
     steps: list[BlowdownStep] = []
     for idx, entry in enumerate(payload["steps"]):
         path = f"steps[{idx}]"
         if not isinstance(entry, dict):
             raise FamilyFormatError(f"{path}: expected an object")
-        if mode == CONCRETE:
-            if set(entry) != {"sigma", "tau"}:
-                raise FamilyFormatError(f"{path}: expected keys sigma, tau")
-            steps.append(BlowdownStep(*(
-                _index_set(_want_list(entry[name], f"{path}.{name}"), f"{path}.{name}",
-                           FamilyFormatError) for name in ("sigma", "tau"))))
-        else:
-            if set(entry) != {"r1", "r2"}:
-                raise FamilyFormatError(f"{path}: expected keys r1, r2")
-            steps.append(BlowdownStep.abstract(
-                *(exact_int(entry[name], f"{path}.{name}", FamilyFormatError)
-                  for name in ("r1", "r2"))))
+        if set(entry) != set(names):
+            raise FamilyFormatError(f"{path}: expected keys {', '.join(names)}")
+        values = [_want_list(entry[name], f"{path}.{name}") if mode == CONCRETE else entry[name]
+                  for name in names]
+        steps.append(_under(f"{path}.", build, *values))
     for field in _TERMINAL:
         if mode == ABSTRACT and field in payload:
             raise FamilyFormatError(f"{field}: not allowed on abstract families")
         if mode == CONCRETE and field not in payload:
             raise FamilyFormatError(f"{field}: missing (required for concrete families)")
-    if mode == ABSTRACT:
-        return FamilyModel(weights, tuple(steps))
-    return FamilyModel.concrete(weights, steps, *[
-        exact_ints(_want_list(payload[field], field), field, FamilyFormatError)
-        for field in _TERMINAL])
+    terminal = [_want_list(payload[field], field) for field in _TERMINAL if mode == CONCRETE]
+    return _under("", FamilyModel, weights, steps, *terminal)

@@ -3,6 +3,9 @@
 Every quantity in this package is an exact rational; floats are rejected at
 the boundary rather than silently converted. Integer fields take ints only
 (is_int): a float, a bool or a string is rejected, never truncated.
+exact_int and exact_ints raise InvalidValue naming the field; a reader with
+its own error type (families.family_from_json) re-raises that message under
+the field's path rather than checking the value a second time.
 """
 
 from __future__ import annotations
@@ -46,21 +49,21 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def exact_int(value, path: str, error: type[Exception] = InvalidValue) -> int:
-    """value itself when is_int, else error naming path."""
+def exact_int(value, path: str) -> int:
+    """value itself when is_int, else InvalidValue naming path."""
     if not is_int(value):
-        raise error(f"{path}: expected an integer, got {value!r}")
+        raise InvalidValue(f"{path}: expected an integer, got {value!r}")
     return value
 
 
-def exact_ints(values, path: str, error: type[Exception] = InvalidValue) -> tuple[int, ...]:
-    """values as a tuple of integers, else error naming path or the entry
-    path[offset] at fault."""
+def exact_ints(values, path: str) -> tuple[int, ...]:
+    """values as a tuple of integers, else InvalidValue naming path or the
+    entry path[offset] at fault."""
     try:
         values = tuple(values)
     except TypeError:
-        raise error(f"{path}: expected a list of integers, got {values!r}") from None
+        raise InvalidValue(f"{path}: expected a list of integers, got {values!r}") from None
     for offset, value in enumerate(values):
         if value.__class__ is not int and not is_int(value):  # plain ints skip the call
-            exact_int(value, f"{path}[{offset}]", error)
+            exact_int(value, f"{path}[{offset}]")
     return values

@@ -383,7 +383,17 @@ class TestInputErrors:
          "error: pull-replacement: --dk needs --c\n"),
         (["family", "eval", "stable.json", "--dk"], "error: eval: --dk needs --c\n"),
         (["family", "eval", "stable.json"], "error: eval: need --dk --c or --class-file\n"),
-    ], ids=["integer", "pull-replacement-dk", "eval-dk", "eval-no-class"])
+        # the --c check comes first, then the input space, then the record
+        (["class", "push", "--n", "5", "--m", "0", "--k", "1", "--dk", "--in", "missing.json"],
+         "error: push: --dk needs --c\n"),
+        (["class", "push", "--n", "5", "--m", "0", "--k", "1", "--dk", "--c", "1/2"],
+         "error: reduction from the unweighted space needs k >= 2\n"),
+        (["class", "push", "--n", "5", "--m", "0", "--k", "1", "--in", "missing.json"],
+         "error: reduction from the unweighted space needs k >= 2\n"),
+        (["family", "eval", "stable.json", "--dk", "--class-file", "missing.json"],
+         "error: eval: --dk needs --c\n"),
+    ], ids=["integer", "pull-replacement-dk", "eval-dk", "eval-no-class", "push-dk-first",
+            "push-space-before-class", "push-space-before-record", "eval-dk-first"])
     def test_message_and_exit_one(self, runner, args, message):
         with runner.isolated_filesystem():
             with open("stable.json", "w", encoding="utf-8") as handle:

@@ -1,7 +1,9 @@
 import dataclasses
 import gc
+import json
 import random
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction as F
 from pathlib import Path
@@ -830,3 +832,99 @@ class TestFamilyFiles:
         with pytest.raises(FamilyFormatError) as excinfo:
             nc.family_from_json("{" + fields + "}")
         assert str(excinfo.value) == message
+
+
+def family_file(mode, step=(), **fields):
+    """A sound family file on (5, 2, 2) with one step, step's keys replacing
+    the step's and fields replacing top-level fields."""
+    payload = {"n": 5, "m": 2, "k": 2, "mode": mode}
+    if mode == "concrete":
+        payload.update(steps=[{"sigma": [1, 2], "tau": [1], **dict(step)}],
+                       final_e_sigma=[0, 0, 0, 0, 0], final_e_tau=[0, 2])
+    else:
+        payload["steps"] = [{"r1": 2, "r2": 1, **dict(step)}]
+    return json.dumps({**payload, **fields})
+
+
+class TestReaderDefersToConstructors:
+    """family_from_json checks the file's shape; the constructors check the
+    values, and the reader names the field they reject."""
+
+    def test_the_sound_files_read(self):
+        assert nc.family_from_json(family_file("concrete")).steps == (
+            nc.BlowdownStep.concrete([1, 2], [1]),)
+        assert nc.family_from_json(family_file("abstract")).steps == (
+            nc.BlowdownStep.abstract(2, 1),)
+
+    @pytest.mark.parametrize("text, message", [
+        (family_file("concrete", k=2.0), "k: expected an integer, got 2.0"),
+        (family_file("abstract", m=True), "m: expected an integer, got True"),
+        (family_file("concrete", {"sigma": [1.5, 2]}),
+         "steps[0].sigma[0]: expected an integer, got 1.5"),
+        (family_file("concrete", {"sigma": [1, True]}),
+         "steps[0].sigma[1]: expected an integer, got True"),
+        (family_file("concrete", {"tau": ["1"]}), "steps[0].tau[0]: expected an integer, got '1'"),
+        (family_file("concrete", {"sigma": [2, 1, 2]}), "steps[0].sigma: index 2 listed twice"),
+        (family_file("concrete", {"sigma": None}), "steps[0].sigma: expected a list of integers"),
+        (family_file("concrete", {"tau": 5}), "steps[0].tau: expected a list of integers"),
+        (family_file("concrete", {"sigma": "12"}), "steps[0].sigma: expected a list of integers"),
+        (family_file("abstract", {"r1": 2.0}), "steps[0].r1: expected an integer, got 2.0"),
+        (family_file("abstract", {"r2": "1"}), "steps[0].r2: expected an integer, got '1'"),
+        (family_file("abstract", {"r1": None}), "steps[0].r1: expected an integer, got None"),
+        (family_file("concrete", final_e_sigma=[0, 0, 0.5, 0, 0]),
+         "final_e_sigma[2]: expected an integer, got 0.5"),
+        (family_file("concrete", final_e_tau=[0, "2"]),
+         "final_e_tau[1]: expected an integer, got '2'"),
+        (family_file("concrete", final_e_tau=None), "final_e_tau: expected a list of integers"),
+        (family_file("concrete", final_e_sigma=0), "final_e_sigma: expected a list of integers"),
+    ], ids=["float-k", "bool-m", "float-index", "bool-index", "str-index", "repeated-index",
+            "null-sigma", "number-tau", "str-sigma", "float-r1", "str-r2", "null-r1",
+            "float-terminal", "str-terminal", "null-terminal", "number-terminal"])
+    def test_each_single_fault_names_its_field(self, text, message):
+        with pytest.raises(FamilyFormatError) as excinfo:
+            nc.family_from_json(text)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        (family_file("concrete", {"sigma": [1, 1], "tau": 5}),
+         "steps[0].tau: expected a list of integers"),
+        (family_file("concrete", final_e_sigma=[0.5, 0, 0, 0, 0], final_e_tau=0),
+         "final_e_tau: expected a list of integers"),
+    ], ids=["step", "terminal"])
+    def test_a_field_that_is_not_a_list_comes_before_its_siblings_values(self, text, message):
+        with pytest.raises(FamilyFormatError) as excinfo:
+            nc.family_from_json(text)
+        assert str(excinfo.value) == message
+
+
+class TestSectionBounds:
+    """A concrete step's indices are checked against 1..n and 1..m by their
+    least and largest index, and an abstract family costs nothing per
+    section."""
+
+    @pytest.mark.parametrize("sigma, tau, faults", [
+        ({1, 5}, {1, 2}, []),
+        ((), (), []),
+        ({0, 3}, {2}, ["steps[0].sigma: indices outside 1..5"]),
+        ({3, 6}, (), ["steps[0].sigma: indices outside 1..5"]),
+        ({-2}, {3}, ["steps[0].sigma: indices outside 1..5", "steps[0].tau: indices outside 1..2"]),
+        ({2, 3}, {0}, ["steps[0].tau: indices outside 1..2"]),
+    ], ids=["at-the-bounds", "empty", "zero", "past-n", "both", "tau-zero"])
+    def test_one_index_past_either_bound_is_a_fault(self, sigma, tau, faults):
+        family = nc.FamilyModel.concrete(nc.make_weights(5, 2, 2),
+                                         [nc.BlowdownStep.concrete(sigma, tau)], (0,) * 5, (0, 0))
+        assert [v for v in nc.validate_family(family) if "indices" in v] == faults
+
+    def test_an_abstract_family_with_a_million_sections_stays_small(self):
+        family = nc.FamilyModel.abstract(nc.make_weights(10**6, 0, 2), [(3, 0), (10, 0)] * 5)
+        tracemalloc.start()
+        try:
+            assert nc.validate_family(family) == []
+            text = nc.family_to_json(family)
+            values = nc.f_values(family, 0)
+            series = nc.g_series(family, nc.CoefficientVector(1, 0, 0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nc.family_from_json(text) == family and values[0] == 10 and len(series) == 11
+        assert peak < 64 * 1024, peak

@@ -208,8 +208,9 @@ for _row in _TRANSPORTS:
 
 # --- family subcommands ----------------------------------------------------------
 
-def _load_family(path: str) -> fam.FamilyModel:
-    """The family in the file at path; exits 1 naming every violation."""
+def _load_family(path: str, concrete: str = "") -> fam.FamilyModel:
+    """The family in the file at path; exits 1 naming every violation, or, when
+    the command named by concrete pairs on terminal data, an abstract family."""
     text = _read_text(path, "PATH")
     try:
         family = fam.family_from_json(text)
@@ -220,6 +221,8 @@ def _load_family(path: str) -> fam.FamilyModel:
         for violation in violations:
             click.echo(f"{path}: {violation}", err=True)
         sys.exit(1)
+    if concrete and family.mode != fam.CONCRETE:
+        _fail(f"{path}: {concrete} needs a concrete family, not an abstract one")
     return family
 
 
@@ -243,7 +246,7 @@ def family_validate(path) -> None:
 @click.option("--c", "c_text", default=None)
 def family_eval(path, class_path, use_dk, c_text) -> None:
     """Pair a divisor class with the family."""
-    family = _load_family(path)
+    family = _load_family(path, "eval")
     cls = _input_class("eval", lambda: family.weights, use_dk, c_text,
                        lambda: _fail("eval: need --dk --c or --class-file") if class_path is None
                        else _read_text(class_path, "--class-file"))
@@ -254,7 +257,7 @@ def family_eval(path, class_path, use_dk, c_text) -> None:
 @click.argument("path", type=click.Path())
 def family_numbers(path) -> None:
     """Intersection numbers of the family with the basis classes."""
-    report = fam.intersection_numbers(_load_family(path))
+    report = fam.intersection_numbers(_load_family(path, "numbers"))
     click.echo(f"psi_sigma\t{format_rational(report.psi_sigma_B)}")
     click.echo(f"psi_tau\t{format_rational(report.psi_tau_B)}")
     click.echo(f"delta_s\t{format_rational(report.delta_s_B)}")

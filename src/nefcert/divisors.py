@@ -38,10 +38,11 @@ class WeightVector:
     m: int
     k: int
 
-    def __post_init__(self) -> None:
-        for name, value in (("n", self.n), ("m", self.m), ("k", self.k)):
-            if not is_int(value):
-                raise InvalidWeights(f"{name} must be an integer, got {value!r}")
+    def __post_init__(self) -> None:  # plain ints skip the is_int calls, as BoundaryKey's
+        if (self.n.__class__, self.m.__class__, self.k.__class__) != (int, int, int):
+            for name, value in (("n", self.n), ("m", self.m), ("k", self.k)):
+                if not is_int(value):
+                    raise InvalidWeights(f"{name} must be an integer, got {value!r}")
         if self.k < 1 or self.n < 0 or self.m < 0:
             raise InvalidWeights(
                 f"need n >= 0, m >= 0, k >= 1, got (n={self.n}, m={self.m}, k={self.k})")

@@ -428,15 +428,20 @@ def _grid_shape(n: int, m: int, k: int) -> tuple[int, int]:
 
 
 _LEVEL1_C = ample_interval(2)[1]  # the c of level 1 in every chain from k >= 2
+_SETTLED_LOW = Fraction(1, 2)  # case 3's lower end of c (_case_table), the limit of its c0
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
 def _leg_class(n: int, m: int, k: int, c: Fraction | None) -> tuple[Fraction, Fraction, Fraction]:
     """(c, a, b) of every leg on an (n, m', k) grid with min(m', 2) = m: for k >= 2
     c0_lower's base value, the mean of _case_table's two ends of c (a point is
     both) in integers; at k = 1 the given c (3/4 when None), with (a, b) at c
     capped at 1 on m = 1 grids (see _certify). The memo lets legs share them,
-    settled legs (_settled_cell) included."""
+    settled legs (_settled_cell) included. The bound holds the classes of the
+    levels that every deep chain visits: over 1,500 certify-deep ops it misses
+    17% of its calls, against 45% at 256 classes. All of deep's working set
+    (2,165 classes after 2,100 ops, and growing with k) missed 0.2% at 4096,
+    but at about 340 B a class it raised deep's peak memory by about 1 MB."""
     if k > 1:
         ends = _case_table(n, m, k)[1]
         (p, q), (r, s) = ends[0], ends[-1]
@@ -454,33 +459,43 @@ def _stratum_leg(n: int, m: int, k: int, c: Fraction | None) -> TraceEntry:
     c0, strict when _below_cap(leg.c, k), which callers reach with c = None; at
     k = 1 the leg at c (None for 3/4) on the stratum's own grid when m = 0 and
     on the regrouped grid (n + m - 1, 1) otherwise. A settled leg, k >= 2,
-    n <= k and m >= 2, scores only its grid's settled cell (_settled_cell)."""
+    n <= k and m >= 2, takes its grid's settled cell and that cell's affine
+    drop at c (_settled_cell) without a scan."""
     n, m = _grid_shape(n, m, k)
     grid = make_weights(n, m, k)  # the leg's only validation
+    c, a, b = _leg_class(n, min(m, 2), k, c)
     # on a valid grid (m + n/k > 2, m <= 1 at k = 1) n <= k implies m >= 2 and k >= 2
-    cells = _settled_cell(n, m) if n <= k else None
-    return _leg(grid, *_leg_class(n, min(m, 2), k, c), cells=cells)
+    if n > k or (settled := _settled_cell(n, m)) is None:
+        return _leg(grid, c, a, b)
+    r1, r2, base, slope, den = settled  # the cell's drop at c is (base + slope*c)/den
+    value = Fraction(base * c.denominator + slope * c.numerator, den * c.denominator)
+    return TraceEntry(grid, c, a, b, DropEvaluation(r1, r2, value))
 
 
 @lru_cache(maxsize=256)
-def _settled_cell(n: int, m: int) -> tuple[tuple[int, tuple[int]]] | None:
-    """The first least cell of every settled leg on (n, m), as _leg's cells;
-    None when no cell is first least at both ends, or the grid has none.
+def _settled_cell(n: int, m: int) -> tuple[int, int, int, int, int] | None:
+    """(r1, r2, base, slope, den) for the first least cell (r1, r2) of every
+    settled leg on (n, m), whose drop at c is (base + slope*c)/den; None when
+    no cell is first least at both ends, or the grid has none.
 
     At every level k >= max(2, n) the admissible cells of (n, m, k), m >= 2,
     are those of level max(2, n) (heavy_counts reads k only through
     (k - i)//k and (k - n + i)//k), case 3 puts c0 = (2k + 3)/(4(k + 1)) in
-    (1/2, c0(max(2, n))], and each cell's drop is affine in c. A cell first
-    least at both ends of that range has every earlier cell strictly above it
-    and every later cell at or above it there, so it is first least at every
-    settled level."""
+    (1/2, c0(max(2, n))], and each cell's drop is affine in c (a and b are).
+    A cell first least at both ends of that range has every earlier cell
+    strictly above it and every later cell at or above it there, so it is
+    first least at every settled level; its two scanned drops (_scan) fix the
+    line through them, kept in integers."""
     level = max(2, n)
-    grid, half = make_weights(n, m, level), Fraction(*_case_table(n, m, level)[1][0])
-    top = _leg(grid, *_leg_class(n, 2, level, None)).minimum
-    bottom = _leg(grid, half, *ab_substitution(n, m, level, half)).minimum
-    if top is None or (top.r1, top.r2) != (bottom.r1, bottom.r2):
+    grid, c_top = make_weights(n, m, level), _leg_class(n, 2, level, None)[0]
+    top, low = (_leg(grid, c, *ab_substitution(n, m, level, c)).minimum
+                for c in (c_top, _SETTLED_LOW))
+    if top is None or (top.r1, top.r2) != (low.r1, low.r2):
         return None
-    return ((top.r1, (top.r2,)),)
+    slope = (top.value - low.value) / (c_top - _SETTLED_LOW)
+    base = low.value - slope * _SETTLED_LOW
+    den = lcm(base.denominator, slope.denominator)
+    return top.r1, top.r2, int(base * den), int(slope * den), den
 
 
 def _shifted_leg(leg: TraceEntry, eps: Mapping[BoundaryKey, Fraction], unused: set) -> TraceEntry:
@@ -507,10 +522,13 @@ def _shifted_leg(leg: TraceEntry, eps: Mapping[BoundaryKey, Fraction], unused: s
 
 # Eps-free legs, keyed by grid shape (and at k = 1 by c, None for 3/4), serve
 # every stratum, level, c, weight vector and perturbed run that reaches their
-# grid. An entry holds the leg alone, 430-500 B with its _leg_class's c, a and
-# b; 3072 hold one certify-wide certificate's grids up to n = 64 ((64, 4, 5)
-# has 2962). Ops ask for legs in the same order, LRU's worst case once one
-# needs more than fit: a random victim keeps about 3072/need of them.
+# grid. An entry holds the leg alone, about 378 B by tracemalloc (CPython
+# 3.11), as it shares its _leg_class's c, a and b; 3072 hold one certify-wide
+# certificate's grids up to n = 64 ((64, 4, 5) has 2962). A deep chain needs
+# more than fit, and a larger memo costs memory and tail latency, so a miss
+# is kept cheap instead: a settled leg is its cell's line at c, no scan. Ops
+# ask for legs in the same order, LRU's worst case once one needs more than
+# fit: a random victim keeps about 3072/need of them.
 _LEG_CACHE_SIZE = 3072
 _MemoInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -529,7 +547,7 @@ def _random_eviction_memo(fn, maxsize: int):
             if len(keys) < maxsize:
                 keys.append(key)
             else:
-                at = rng.randrange(maxsize)
+                at = int(rng.random() * maxsize)  # one call: randrange costs several
                 del values[keys[at]]
                 keys[at] = key
         return value
@@ -548,24 +566,35 @@ def _random_eviction_memo(fn, maxsize: int):
 _cached_stratum_leg = _random_eviction_memo(_stratum_leg, _LEG_CACHE_SIZE)
 _cached_weights = lru_cache(maxsize=_LEG_CACHE_SIZE)(make_weights)  # level-1 strata
 
-_TRANSPORT_CACHE_SIZE = 4096  # passed checks, ~150 B each; a failure raises every time
+_TRANSPORT_CACHE_SIZE = 4096  # root shapes (n, m), about 240 B each
 
 
 @lru_cache(maxsize=_TRANSPORT_CACHE_SIZE)
+def _transport_levels(n: int, m: int) -> list[int]:
+    """[the highest level up to which every transport check of the root shape
+    (n, m) passed], which _check_transport raises as the checks pass."""
+    return [1]
+
+
 def _check_transport(n: int, m: int, k: int) -> None:
     """At c = (k+1)/(2k) the pulled-back ray from level k has exceptional
-    coefficient exactly 0, so it equals the same ray one level down."""
-    c = ample_interval(k)[1]
-    if (pullback_reduction(dk_class(make_weights(n, m, k), c))
-            != dk_class(make_weights(n, m, k - 1), c)):
-        raise NefcertError("internal: endpoint transport identity failed")
+    coefficient exactly 0, so it equals the same ray one level down. Each
+    level of a root shape is checked once, from 2 up, so one level per shape
+    records every passed check (a deep chain's root has hundreds); a failure
+    raises every time."""
+    for level in range((passed := _transport_levels(n, m))[0] + 1, k + 1):
+        c = ample_interval(level)[1]
+        if (pullback_reduction(dk_class(make_weights(n, m, level), c))
+                != dk_class(make_weights(n, m, level - 1), c)):
+            raise NefcertError("internal: endpoint transport identity failed")
+        passed[0] = level
 
 
 # All process-wide state: the five memos and where the last f_values call left
 # its sweep. No certificate depends on it; tests and tools that need a fresh
 # process's state call _clear_state, and a memo added later joins this table.
 _STATE = {"_cached_stratum_leg": _cached_stratum_leg, "_leg_class": _leg_class,
-          "_cached_weights": _cached_weights, "_check_transport": _check_transport,
+          "_cached_weights": _cached_weights, "_transport_levels": _transport_levels,
           "_settled_cell": _settled_cell, "_last_sweep": _last_sweep}
 
 
@@ -660,9 +689,11 @@ def _certify(n: int, m: int, k: int, c: Fraction,
             if level == k and c == hi:
                 break
         at_lo = level < k or c == lo
+        # from level n up reachable_strata's closed form gives one list whatever the level
+        shapes = reachable_strata(n, m, level) if level <= max(n, 1) else shapes
         best = None
         legs, strata, zeros = [], [], []
-        for n1, m1 in reachable_strata(n, m, level):
+        for n1, m1 in shapes:
             shape = _grid_shape(n1, m1, level)  # the leg key: strata of one grid share it
             leg = _cached_stratum_leg(*shape, level, leg_c)
             if eps:
@@ -675,7 +706,9 @@ def _certify(n: int, m: int, k: int, c: Fraction,
                     zeros.append(stratum)
             else:
                 stratum = leg.grid
-                if at_lo and not _below_cap(leg.c, level):
+                # cases 3 and 4 (m >= 2) put c0 strictly inside (1/2, cap), so only
+                # point cases, settled legs never among them, can meet the cap
+                if at_lo and stratum.m < 2 and not _below_cap(leg.c, level):
                     # base value equals c itself: no convex room, genuine zero curves
                     zeros.append(stratum)
             # least drops compared in integers: a Fraction < first checks numbers.Rational

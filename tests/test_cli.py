@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -122,6 +123,14 @@ class TestFamilyCommands:
         assert invoke(runner, ["family", "validate", str(path)]).output == "valid\n"
         result = invoke(runner, ["family", "eval", str(path), "--dk", "--c", "2/3"])
         assert result.output == "0\n"
+
+    @pytest.mark.parametrize("command, options", [
+        ("eval", ["--dk", "--c", "1/2"]), ("numbers", [])], ids=["eval", "numbers"])
+    def test_an_abstract_family_exits_one_naming_its_mode(self, runner, command, options):
+        path = str(Path(__file__).with_name("families") / "abstract.json")
+        result = runner.invoke(main, ["family", command, path, *options])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            1, "", f"error: {path}: {command} needs a concrete family, not an abstract one\n")
 
     def test_validate_failure_lists_paths(self, runner, tmp_path):
         path = tmp_path / "bad.json"

@@ -41,6 +41,40 @@ class TestWeights:
         with pytest.raises(InvalidWeights):
             nc.make_weights(5.0, 0, 2)
 
+    @pytest.mark.parametrize("fields, message", [
+        ((True, 0, 2), "n must be an integer, got True"),
+        ((5, False, 2), "m must be an integer, got False"),
+        ((5, 0, True), "k must be an integer, got True"),
+        ((5.0, 0, 2), "n must be an integer, got 5.0"),
+        ((5, 0.0, 2), "m must be an integer, got 0.0"),
+        ((5, 0, 2.0), "k must be an integer, got 2.0"),
+        (("5", 0, 2), "n must be an integer, got '5'"),
+        ((5, "0", 2), "m must be an integer, got '0'"),
+        ((5, 0, "2"), "k must be an integer, got '2'"),
+        ((5, 0, 2.5), "k must be an integer, got 2.5"),
+        # the type of each field is checked before any bound
+        ((-1, 0.5, 0), "m must be an integer, got 0.5"),
+        ((-1, 3, 1), "need n >= 0, m >= 0, k >= 1, got (n=-1, m=3, k=1)"),
+        ((3, -1, 1), "need n >= 0, m >= 0, k >= 1, got (n=3, m=-1, k=1)"),
+        ((3, 1, 0), "need n >= 0, m >= 0, k >= 1, got (n=3, m=1, k=0)"),
+        ((4, 0, 2), "empty moduli problem: m + n/k = 2 is not > 2"),
+        ((0, 2, 7), "empty moduli problem: m + n/k = 2 is not > 2"),
+    ])
+    def test_each_rejected_field_keeps_its_message(self, fields, message):
+        with pytest.raises(InvalidWeights) as raised:
+            nc.WeightVector(*fields)
+        assert str(raised.value) == message
+
+    def test_int_subclasses_are_integers(self):
+        class Count(int):
+            pass
+
+        assert nc.WeightVector(Count(5), 0, Count(2)) == nc.make_weights(5, 0, 2)
+        with pytest.raises(InvalidWeights, match=r"got \(n=5, m=0, k=0\)"):
+            nc.WeightVector(5, Count(0), Count(0))
+        with pytest.raises(InvalidWeights, match="empty moduli problem"):
+            nc.WeightVector(Count(4), 0, 2)
+
     def test_least_nonempty_m_agrees_with_nonempty_moduli(self):
         # reachable_strata reads the least weight-one count of a stratum from it
         for k in range(1, 13):

@@ -607,6 +607,23 @@ class TestTransportMemo:
         assert nc.certify_interval(9, 2, 5, _interior(5)) == first
         assert nc.certify_interval(9, 2, 4, _interior(4)) == second
 
+    def test_a_root_keeps_one_level_and_checks_each_level_once(self, monkeypatch):
+        calls = []
+        pullback = positivity.pullback_reduction
+        monkeypatch.setattr(positivity, "pullback_reduction",
+                            lambda cls: calls.append(cls.ambient.k) or pullback(cls))
+        positivity._clear_state()
+        for k, checked in ((4, [2, 3, 4]), (3, []), (6, [5, 6]), (6, [])):
+            calls.clear()
+            positivity._check_transport(9, 2, k)
+            assert calls == checked, k
+        assert positivity._transport_levels(9, 2) == [6]
+        assert positivity._state_info()["_transport_levels"].currsize == 1
+        positivity._clear_state()  # a cleared or evicted record checks again from level 2
+        calls.clear()
+        positivity._check_transport(9, 2, 3)
+        assert calls == [2, 3]
+
     def test_a_failed_identity_raises_every_time(self, monkeypatch):
         positivity._clear_state()
         monkeypatch.setattr(positivity, "pullback_reduction",
@@ -635,8 +652,8 @@ class TestProcessState:
 
     def test_every_piece_is_bounded(self):
         assert {name: info.maxsize for name, info in positivity._state_info().items()} == {
-            "_cached_stratum_leg": 3072, "_leg_class": 256, "_cached_weights": 3072,
-            "_check_transport": 4096, "_settled_cell": 256, "_last_sweep": 1}
+            "_cached_stratum_leg": 3072, "_leg_class": 1024, "_cached_weights": 3072,
+            "_transport_levels": 4096, "_settled_cell": 256, "_last_sweep": 1}
 
     def test_every_memo_is_registered(self, monkeypatch):
         assert _unregistered_memos() == []
@@ -1169,17 +1186,15 @@ class TestSettledLegs:
     def test_a_cell_that_moves_between_the_ends_is_not_settled(self, monkeypatch):
         # read the lower end at c = 1 instead of 1/2: there the first least
         # cell differs from the one at c0(max(2, n)) on most grids
-        ab_substitution = positivity.ab_substitution
-        monkeypatch.setattr(positivity, "ab_substitution", lambda n, m, k, c: ab_substitution(
-            n, m, k, F(1) if c == F(1, 2) else c))
+        monkeypatch.setattr(positivity, "_SETTLED_LOW", F(1))
         positivity._clear_state()
         try:
             seen = Counter()
             for n in range(13):
                 for m in range(3 if n == 0 else 2, 9):
                     level = max(2, n)
-                    ends = []
-                    for c in (nc.c0_lower(n, m, level)[0], F(1)):
+                    cs, ends = (nc.c0_lower(n, m, level)[0], F(1)), []
+                    for c in cs:
                         coeffs = nc.CoefficientVector.from_ab(
                             n, m, *nc.ab_substitution(n, m, level, c))
                         ends.append(oracle_min(n, m, level, coeffs))
@@ -1187,7 +1202,11 @@ class TestSettledLegs:
                     if ends[0] is None or ends[0][:2] != ends[1][:2]:
                         assert cell is None, (n, m)
                     else:
-                        assert cell == ((ends[0][0], (ends[0][1],)),), (n, m)
+                        r1, r2, base, slope, den = cell
+                        assert (r1, r2) == ends[0][:2], (n, m)
+                        # the cell's drop is the line through its drops at both ends
+                        assert [F(base + slope * c, den) for c in cs] == \
+                            [end[2] for end in ends], (n, m)
                     seen[cell is None] += 1
                     for k in (level, level + 1, 60):
                         leg = positivity._stratum_leg(n, m, k, None)
@@ -1195,6 +1214,50 @@ class TestSettledLegs:
             assert seen[True] > 40 and seen[False] > 10, seen
         finally:
             positivity._clear_state()
+
+    def test_the_affine_drop_is_the_fraction_table_at_every_settled_level(self):
+        settled = 0
+        for n in range(13):
+            for m in range(2, 9):
+                level = max(2, n)
+                if not m + F(n, level) > 2 or (cell := positivity._settled_cell(n, m)) is None:
+                    continue
+                r1, r2, base, slope, den = cell
+                for k in (level, level + 1, 2 * level + 7, 250):
+                    c, a, b = positivity._leg_class.__wrapped__(n, 2, k, None)
+                    coeffs = nc.CoefficientVector.from_ab(n, m, a, b)
+                    assert (r1, r2, F(base + slope * c, den)) == oracle_min(n, m, k, coeffs), \
+                        (n, m, k)
+                settled += 1
+        assert settled > 80
+
+
+class TestLegPaths:
+    """Every leg of a certificate is _leg's full scan at its class, whether it
+    is computed cold, read from the memo or recomputed after an eviction."""
+
+    @pytest.mark.parametrize("n, m, k", [(8, 8, 60), (1, 6, 120), (7, 7, 40), (3, 2, 90)])
+    def test_cold_warm_and_evicted_legs_are_the_full_scan(self, monkeypatch, n, m, k):
+        c = _interior(k)
+        positivity._clear_state()
+        cold = nc.certify_interval(n, m, k, c)
+        hits = positivity._cached_stratum_leg.cache_info().hits
+        warm = nc.certify_interval(n, m, k, c)
+        assert positivity._cached_stratum_leg.cache_info().hits > hits
+        small = positivity._random_eviction_memo(positivity._stratum_leg, 4)
+        monkeypatch.setattr(positivity, "_cached_stratum_leg", small)
+        evicted = nc.certify_interval(n, m, k, c)
+        assert small.cache_info().misses > 100  # every miss past the fourth evicts a leg
+        assert repr(cold) == repr(warm) == repr(evicted)
+        settled = 0
+        for leg in cold.trace:
+            grid = leg.grid  # level 1 of a chain from k >= 2 is at c = 3/4 (None)
+            full = positivity._leg(grid, *positivity._leg_class.__wrapped__(
+                grid.n, min(grid.m, 2), grid.k, None))
+            assert leg == full, grid
+            settled += (grid.k >= 2 and grid.n <= grid.k
+                        and positivity._settled_cell(grid.n, grid.m) is not None)
+        assert settled > len(cold.trace) // 2
 
 
 class TestShiftedLegs:
@@ -1357,6 +1420,7 @@ class TestCaseTable:
                 oracle_threshold(n, m, k), (n, m, k)
             c0, strict = oracle_c0(n, m, k)
             assert nc.c0_lower(n, m, k) == (c0, strict), (n, m, k)
+            assert strict or m < 2, (n, m, k)  # _certify reads the flag on m <= 1 legs only
             assert positivity._leg_class.__wrapped__(n, min(m, 2), k, None) == \
                 (c0, *nc.ab_substitution(n, m, k, c0)), (n, m, k)
             checked += 1

@@ -62,12 +62,18 @@ def _weights(n: str, m: str, k: str):
     return make_weights(_int(n, "--n"), _int(m, "--m"), _int(k, "--k"))
 
 
-def _input_class(command: str, ambient, use_dk: bool, c_text, read_record):
+def _input_class(command: str, ambient, use_dk: bool, c_text, record_flag, read_record):
     """The class a command reads: the dk ray at --c with --dk, else the
     record text read_record() returns, on the space ambient() returns.
-    --dk without --c fails before either is called."""
+    record_flag names the record file's flag when it was given, else None.
+    Before either is called, --dk without --c fails, then --dk with a
+    record file, then --c without --dk: no named input is dropped."""
     if use_dk and c_text is None:
         _fail(f"{command}: --dk needs --c")
+    if use_dk and record_flag:
+        _fail(f"{command}: --dk cannot be combined with {record_flag}")
+    if c_text is not None and not use_dk:
+        _fail(f"{command}: --c needs --dk")
     space = ambient()
     return (dk_class(space, _rat(c_text, "--c")) if use_dk
             else class_from_record(read_record(), space))
@@ -183,6 +189,7 @@ def _transport_command(name, doc, apply, input_space, comment):
         target = _weights(n, m, k)
         cls = _input_class(
             name, lambda: input_space(target) if input_space else target, use_dk, c_text,
+            None if in_path is None else "--in",
             lambda: sys.stdin.read() if in_path is None else _read_text(in_path, "--in"))
         result = apply(cls, target)
         line = comment(target, result) if comment else None
@@ -248,6 +255,7 @@ def family_eval(path, class_path, use_dk, c_text) -> None:
     """Pair a divisor class with the family."""
     family = _load_family(path, "eval")
     cls = _input_class("eval", lambda: family.weights, use_dk, c_text,
+                       None if class_path is None else "--class-file",
                        lambda: _fail("eval: need --dk --c or --class-file") if class_path is None
                        else _read_text(class_path, "--class-file"))
     click.echo(format_rational(fam.evaluate_class(cls, family)))
@@ -270,7 +278,8 @@ def family_numbers(path) -> None:
 @click.argument("path", type=click.Path())
 def family_fvalues(path) -> None:
     """Per-level potentials: i, F_delta, F_sigma, F_tau, F_sigma_tau."""
-    series = fam._f_series(_load_family(path))
+    family = _load_family(path)
+    series = [fam.f_values(family, level) for level in range(family.n_steps, -1, -1)][::-1]
     click.echo("# i\tF_delta\tF_sigma\tF_tau\tF_sigma_tau")
     for level, values in enumerate(series):
         click.echo(str(level) + "\t" + "\t".join(format_rational(v) for v in values))
@@ -442,10 +451,8 @@ def fixtures(ctx) -> None:
 
     for k in range(2, 21):
         n = 2 * k + 1
-        c = pos.ample_interval(k)[1]
-        transported = mor.pullback_reduction(dk_class(make_weights(n, 0, k), c))
-        check("reduction-functoriality", f"k={k}",
-              dk_class(make_weights(n, 0, k - 1), c), transported)
+        transported, lower = pos._transport_pair(n, 0, k)
+        check("reduction-functoriality", f"k={k}", lower, transported)
 
     for k in range(2, 11):
         c0 = pos.ample_interval(k)[1]

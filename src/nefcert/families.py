@@ -22,10 +22,13 @@ abstract family costs nothing per section. Values are checked once, by
 BlowdownStep and FamilyModel; family_from_json checks only the file's shape
 and reports their fault under the field's path. One walk from
 the terminal surface down to level 0 updates a single level matrix in
-place and telescopes the potentials; level_matrix, f_values and g_series
-all read from it. f_values keeps the walk's state between calls on one
-family and moves it up or down the chain, so reading every level in turn
-costs one pass.
+place and telescopes the potentials; level_matrix and f_values read from
+it. f_values keeps the walk's state between calls on one family and moves
+it up or down the chain, so reading every level in turn costs one pass:
+the potential series (positivity.g_series, `nefcert family fvalues`) is
+f_values read from level N down to 0, each level checked. The weights of
+the (a, b) combination live in _ab_weights, read by
+CoefficientVector.from_ab and by positivity's integer drop scan.
 """
 
 from __future__ import annotations
@@ -371,14 +374,10 @@ class CoefficientVector:
 
     @classmethod
     def from_ab(cls, n: int, m: int, a, b) -> "CoefficientVector":
-        """The (a, b) parameterization: a_sigma = a, a_sigma_tau = b,
-        a_tau = (m-b)/m (zero when m <= 1), a_delta = 1."""
-        a, b = exact(a), exact(b)
-        if m == 0 and b != 0:
-            raise InvalidCoefficients("b must be 0 when there are no weight-one sections")
-        a_tau = (Fraction(0) if m <= 1  # (m - b)/m in integers
-                 else Fraction(m * b.denominator - b.numerator, m * b.denominator))
-        return cls(a, a_tau, b, Fraction(1))
+        """The (a, b) parameterization, with the four weights _ab_weights
+        gives: a_sigma = a, a_tau = (m-b)/m (zero when m <= 1),
+        a_sigma_tau = b, a_delta = 1."""
+        return cls(*(Fraction(p, q) for p, q in _ab_weights(m, exact(a), exact(b))))
 
     def combine(self, potentials: tuple[Fraction, Fraction, Fraction, Fraction]) -> Fraction:
         """The combination at potential values (F_delta, F_sigma, F_tau,
@@ -386,6 +385,18 @@ class CoefficientVector:
         f_delta, f_sigma, f_tau, f_mixed = potentials
         return (self.a_sigma * f_sigma + self.a_tau * f_tau
                 + self.a_sigma_tau * f_mixed - self.a_delta * f_delta)
+
+
+def _ab_weights(m: int, a: Fraction, b: Fraction) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of a_sigma, a_tau, a_sigma_tau and a_delta in
+    the (a, b) combination on m heavy sections: a, (m - b)/m (0 when m <= 1),
+    b and 1, in integers. The one home of these weights, for
+    CoefficientVector.from_ab and the legs that positivity scans; b must be 0
+    when m = 0."""
+    p, q = b.numerator, b.denominator
+    if m == 0 and p:
+        raise InvalidCoefficients("b must be 0 when there are no weight-one sections")
+    return (a.numerator, a.denominator), (m * q - p, m * q) if m > 1 else (0, 1), (p, q), (1, 1)
 
 
 def _step_drops(n: int, m: int, r1: int, r2: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -434,16 +445,6 @@ def f_values(family: FamilyModel, level: int) -> tuple[Fraction, Fraction, Fract
     values = _cross(family, matrix, values, at, level)
     _last_sweep[:] = [(ref(family), level, matrix, values)]
     return _checked(family, level, matrix, values)
-
-
-def _f_series(family: FamilyModel) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """f_values at every level 0..N from one sweep, each level checked."""
-    matrix, values = _terminal(family)
-    series = [_checked(family, family.n_steps, matrix, values)]
-    for level in range(family.n_steps - 1, -1, -1):
-        values = _cross(family, matrix, values, level + 1, level)
-        series.append(_checked(family, level, matrix, values))
-    return series[::-1]
 
 
 def evaluate_class(cls: DivisorClass, family: FamilyModel) -> Fraction:

@@ -44,7 +44,8 @@ from .errors import (
     NefcertError,
     NoCaseApplies,
 )
-from .families import CoefficientVector, FamilyModel, _f_series, _last_sweep, _step_drops
+from .families import (CoefficientVector, FamilyModel, _ab_weights, _last_sweep, _step_drops,
+                       f_values)
 from .morphisms import pullback_reduction
 from .rational import exact, is_int
 
@@ -168,13 +169,15 @@ def min_drop(n: int, m: int, k: int, coeffs: CoefficientVector,
 
 
 def g_series(family: FamilyModel, coeffs: CoefficientVector) -> list[Fraction]:
-    """The combination of the four potentials at every level, 0..N, all from
-    one downward sweep that checks each level as f_values does.
+    """The combination of the four potentials at every level, 0..N, read by
+    f_values from level N down to 0: its resumed sweep makes that one pass,
+    and it checks every level.
 
     The last entry is always 0 and consecutive differences are the per-step
     drop values.
     """
-    return [coeffs.combine(values) for values in _f_series(family)]
+    return [coeffs.combine(f_values(family, level))
+            for level in range(family.n_steps, -1, -1)][::-1]
 
 
 def _case_table(n: int, m: int, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -415,11 +418,10 @@ def _grid_labels(grid: WeightVector, eps: Mapping[BoundaryKey, Fraction]) -> lis
 def _leg(grid: WeightVector, c: Fraction, a: Fraction, b: Fraction,
          labels=(), cells=None) -> TraceEntry:
     """One leg: the first least drop on grid (over cells, by default all) of
-    CoefficientVector.from_ab's (a, b) combination with labels, in integers:
-    a_tau = (m - b)/m."""
-    m, (pa, qa), (pb, qb) = grid.m, (a.numerator, a.denominator), (b.numerator, b.denominator)
-    weights = ((pa, qa), (m * qb - pb, m * qb), (pb, qb), (1, 1))
-    return TraceEntry(grid, c, a, b, _scan(grid.n, m, grid.k, weights, labels, cells))
+    the (a, b) combination with labels, scanned with the integer weights
+    (families._ab_weights) that CoefficientVector.from_ab reads too."""
+    return TraceEntry(grid, c, a, b, _scan(grid.n, grid.m, grid.k, _ab_weights(grid.m, a, b),
+                                           labels, cells))
 
 
 def _grid_shape(n: int, m: int, k: int) -> tuple[int, int]:
@@ -576,16 +578,25 @@ def _transport_levels(n: int, m: int) -> list[int]:
     return [1]
 
 
+def _transport_pair(n: int, m: int, k: int):
+    """The transport identity's two sides at c = (k+1)/(2k), the upper end of
+    level k: the ray on (n, m, k) pulled back along the weight reduction, and
+    the ray on (n, m, k - 1). The pulled-back ray has exceptional coefficient
+    exactly 0, so the two are equal; _check_transport compares them and
+    `nefcert fixtures` prints them."""
+    c = ample_interval(k)[1]
+    return (pullback_reduction(dk_class(make_weights(n, m, k), c)),
+            dk_class(make_weights(n, m, k - 1), c))
+
+
 def _check_transport(n: int, m: int, k: int) -> None:
-    """At c = (k+1)/(2k) the pulled-back ray from level k has exceptional
-    coefficient exactly 0, so it equals the same ray one level down. Each
-    level of a root shape is checked once, from 2 up, so one level per shape
-    records every passed check (a deep chain's root has hundreds); a failure
-    raises every time."""
+    """Check the transport identity (_transport_pair) at every level 2..k of
+    the root shape (n, m). Each level of a root shape is checked once, from 2
+    up, so one level per shape records every passed check (a deep chain's
+    root has hundreds); a failure raises every time."""
     for level in range((passed := _transport_levels(n, m))[0] + 1, k + 1):
-        c = ample_interval(level)[1]
-        if (pullback_reduction(dk_class(make_weights(n, m, level), c))
-                != dk_class(make_weights(n, m, level - 1), c)):
+        pulled, lower = _transport_pair(n, m, level)
+        if pulled != lower:
             raise NefcertError("internal: endpoint transport identity failed")
         passed[0] = level
 
@@ -654,7 +665,9 @@ def _certify(n: int, m: int, k: int, c: Fraction,
     the surplus multiplies a psi class, which pairs nonnegatively).
     Collision classes do not exist at k = 1, so there the combination
     matches the ray for every c. At level >= 2 the upper endpoint transports
-    one level down with vanishing exceptional coefficient (_check_transport),
+    one level down with vanishing exceptional coefficient, checked once per
+    certification for every level 2..k before the level loop
+    (_check_transport; a k = 1 certification checks and records nothing),
     where the same c is the lower endpoint, so the level below decides it
     (_transports); below it a level is a convex combination of its endpoint
     and one base leg per boundary stratum at c0 (_stratum_leg). At
@@ -675,6 +688,8 @@ def _certify(n: int, m: int, k: int, c: Fraction,
         raise COutOfInterval(
             f"certified interval for k = {k} is [{lo}, {hi}], got {c}")
 
+    if k > 1:  # every level's upper endpoint transports, checked once per certification
+        _check_transport(n, m, k)
     legs_by_level, strata_by_level = [], []  # level 1 first
     unused = set(eps or ())
     witness, endpoint_strict = None, True  # level 1 is the ground
@@ -684,7 +699,6 @@ def _certify(n: int, m: int, k: int, c: Fraction,
     leg_c = c if k == 1 and c != _LEVEL1_C else None
     for level in range(1, k + 1):
         if level > 1:
-            _check_transport(n, m, level)
             endpoint_strict = _transports(verdict, zeros, witness, level)
             if level == k and c == hi:
                 break

@@ -243,6 +243,27 @@ class TestFixturesCommand:
         assert any("pushforward-constants" in line for line in lines)
         assert any("pullback-constant\tk=4\texpected -4" in line for line in lines)
 
+    def test_functoriality_rows_print_the_pair_that_certification_checks(
+            self, runner, monkeypatch):
+        shapes = []
+        pair = nc.positivity._transport_pair
+
+        def broken(*shape):  # the pulled-back side replaced, so the two sides differ
+            shapes.append(shape)
+            lower = pair(*shape)[1]
+            return nc.zero_class(lower.ambient), lower
+
+        monkeypatch.setattr(nc.positivity, "_transport_pair", broken)
+        result = invoke(runner, ["fixtures"])
+        rows = [line.split("\t") for line in result.stdout.splitlines()
+                if "\treduction-functoriality\t" in line]
+        assert shapes == [(2 * k + 1, 0, k) for k in range(2, 21)]
+        for (n, m, k), row in zip(shapes, rows, strict=True):
+            lower = pair(n, m, k)[1]
+            assert row == ["FAIL", "reduction-functoriality", f"k={k}",
+                           f"expected {lower}", f"computed {nc.zero_class(lower.ambient)}"]
+        assert result.exit_code == 2 and result.stderr == "19 fixture(s) failed\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
@@ -401,8 +422,28 @@ class TestInputErrors:
          "error: reduction from the unweighted space needs k >= 2\n"),
         (["family", "eval", "stable.json", "--dk", "--class-file", "missing.json"],
          "error: eval: --dk needs --c\n"),
+        # a named input is never dropped: --dk with a record file, or --c without --dk
+        (["class", "pull-reduction", "--n", "7", "--m", "0", "--k", "3", "--dk", "--c", "2/3",
+          "--in", "missing.json"], "error: pull-reduction: --dk cannot be combined with --in\n"),
+        (["family", "eval", "stable.json", "--dk", "--c", "2/3", "--class-file", "missing.json"],
+         "error: eval: --dk cannot be combined with --class-file\n"),
+        (["class", "push", "--n", "5", "--m", "1", "--k", "2", "--c", "2/3"],
+         "error: push: --c needs --dk\n"),
+        (["class", "pull-replacement", "--n", "7", "--m", "0", "--k", "3", "--c", "2/3",
+          "--in", "missing.json"], "error: pull-replacement: --c needs --dk\n"),
+        (["family", "eval", "stable.json", "--c", "2/3"], "error: eval: --c needs --dk\n"),
+        (["family", "eval", "stable.json", "--c", "2/3", "--class-file", "missing.json"],
+         "error: eval: --c needs --dk\n"),
+        # both checks come before the input space is built
+        (["class", "push", "--n", "5", "--m", "0", "--k", "1", "--dk", "--c", "1/2",
+          "--in", "missing.json"], "error: push: --dk cannot be combined with --in\n"),
+        (["class", "push", "--n", "5", "--m", "0", "--k", "1", "--c", "1/2"],
+         "error: push: --c needs --dk\n"),
     ], ids=["integer", "pull-replacement-dk", "eval-dk", "eval-no-class", "push-dk-first",
-            "push-space-before-class", "push-space-before-record", "eval-dk-first"])
+            "push-space-before-class", "push-space-before-record", "eval-dk-first",
+            "pull-reduction-dk-and-in", "eval-dk-and-class-file", "push-c-without-dk",
+            "pull-replacement-c-and-in", "eval-c-without-dk", "eval-c-and-class-file",
+            "push-dk-and-in-before-space", "push-c-before-space"])
     def test_message_and_exit_one(self, runner, args, message):
         with runner.isolated_filesystem():
             with open("stable.json", "w", encoding="utf-8") as handle:

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nefcert as nc
-from nefcert import families
+from nefcert import families, positivity
 from nefcert.cli import main
 from nefcert.divisors import least_nonempty_m
 from nefcert.errors import (
@@ -476,6 +476,16 @@ class TestSweep:
         assert result.stderr.startswith("error: level 3: matrix potentials")
 
 
+def fresh_series(fam):
+    """f_values at every level, each read from a fresh process's state, so
+    each level is a sweep of its own from the terminal surface."""
+    series = []
+    for level in range(fam.n_steps + 1):
+        positivity._clear_state()
+        series.append(nc.f_values(fam, level))
+    return series
+
+
 class TestResumedSweep:
     """f_values keeps the sweep state of its last call and moves it along the
     chain when the next call reads the same family object."""
@@ -483,7 +493,7 @@ class TestResumedSweep:
     def test_reads_in_any_order_equal_one_series(self):
         rng = random.Random(777)
         cases = sweep_cases()
-        series = {id(fam): families._f_series(fam) for fam in cases}
+        series = {id(fam): fresh_series(fam) for fam in cases}
         for fam in cases:
             levels = list(range(fam.n_steps + 1))
             for order in (levels, levels[::-1], rng.sample(levels, len(levels))):
@@ -495,6 +505,22 @@ class TestResumedSweep:
             rng.shuffle(reads)
             for fam, level in reads:
                 assert nc.f_values(fam, level) == series[id(fam)][level]
+
+    def test_reads_after_g_series_equal_its_combined_potentials(self):
+        rng = random.Random(778)
+        for fam in sweep_cases():
+            w = fam.weights
+            coeffs = nc.CoefficientVector.from_ab(w.n, w.m, F(3, 5), F(1, 3) if w.m else 0)
+            reference = fresh_series(fam)
+            g = nc.g_series(fam, coeffs)
+            assert g == [coeffs.combine(values) for values in reference]
+            levels = list(range(fam.n_steps + 1))
+            rng.shuffle(levels)
+            # the sweep g_series left behind, at level 0, serves every read
+            assert [coeffs.combine(nc.f_values(fam, level)) for level in levels] == [
+                g[level] for level in levels]
+            assert [nc.f_values(fam, level) for level in levels] == [
+                reference[level] for level in levels]
 
     def test_reading_every_level_crosses_each_step_at_most_twice(self, monkeypatch):
         drops = families._step_drops
@@ -534,7 +560,7 @@ class TestResumedSweep:
 
 def test_the_last_sweep_keeps_no_family_alive():
     fam = nc.family_from_json((Path(__file__).with_name("families") / "chain.json").read_text())
-    series = families._f_series(fam)
+    series = fresh_series(fam)
     assert nc.f_values(fam, 3) == series[3]
     alive = weakref.ref(fam)
     del fam

@@ -624,6 +624,28 @@ class TestTransportMemo:
         positivity._check_transport(9, 2, 3)
         assert calls == [2, 3]
 
+    def test_a_certification_checks_transport_once(self, monkeypatch):
+        calls = []
+        check = positivity._check_transport
+        monkeypatch.setattr(positivity, "_check_transport",
+                            lambda *shape: calls.append(shape) or check(*shape))
+        for k, c in ((2, _interior(2)), (5, _interior(5)), (5, nc.ample_interval(5)[0]),
+                     (5, nc.ample_interval(5)[1]), (40, _interior(40))):
+            for run in (lambda: nc.certify_interval(9, 2, k, c),
+                        lambda: nc.perturbed_certify(9, 2, k, c, {(1, 1): F(-1, 64)})):
+                for state in ("cold", "warm"):
+                    if state == "cold":
+                        positivity._clear_state()
+                    calls.clear()
+                    run()
+                    assert calls == [(9, 2, k)], (k, c, state)
+        positivity._clear_state()
+        calls.clear()
+        nc.certify_interval(9, 2, 1, F(3, 4))
+        nc.perturbed_certify(9, 2, 1, F(7, 8), {(1, 1): F(-1, 64)})
+        assert calls == []
+        assert positivity._state_info()["_transport_levels"].currsize == 0
+
     def test_a_failed_identity_raises_every_time(self, monkeypatch):
         positivity._clear_state()
         monkeypatch.setattr(positivity, "pullback_reduction",

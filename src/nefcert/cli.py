@@ -279,7 +279,7 @@ def family_numbers(path) -> None:
 def family_fvalues(path) -> None:
     """Per-level potentials: i, F_delta, F_sigma, F_tau, F_sigma_tau."""
     family = _load_family(path)
-    series = [fam.f_values(family, level) for level in range(family.n_steps, -1, -1)][::-1]
+    series = fam._f_series(family)
     click.echo("# i\tF_delta\tF_sigma\tF_tau\tF_sigma_tau")
     for level, values in enumerate(series):
         click.echo(str(level) + "\t" + "\t".join(format_rational(v) for v in values))

@@ -128,8 +128,15 @@ def canonical_boundary_key(ambient: WeightVector, i: int, j: int) -> BoundaryKey
 
 
 def _as_key(key) -> BoundaryKey:
-    """key itself when it is a BoundaryKey, else the BoundaryKey of an (i, j) pair."""
-    return key if isinstance(key, BoundaryKey) else BoundaryKey(*key)
+    """key itself when it is a BoundaryKey, else the BoundaryKey of an (i, j)
+    pair: the one reader of both key spellings, for canonical_boundary and
+    positivity._cell_labels. Any other key, a string, None or a tuple of
+    another length, raises InvalidBoundaryKey naming it."""
+    if isinstance(key, BoundaryKey):
+        return key
+    if not (isinstance(key, tuple) and len(key) == 2):
+        raise InvalidBoundaryKey(f"expected a BoundaryKey or an (i, j) pair, got {key!r}")
+    return BoundaryKey(*key)
 
 
 def canonical_boundary(ambient: WeightVector,

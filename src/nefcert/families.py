@@ -26,8 +26,10 @@ place and telescopes the potentials; level_matrix and f_values read from
 it. f_values keeps the walk's state between calls on one family and moves
 it up or down the chain, so reading every level in turn costs one pass:
 the potential series (positivity.g_series, `nefcert family fvalues`) is
-f_values read from level N down to 0, each level checked. The weights of
-the (a, b) combination live in _ab_weights, read by
+_f_series, f_values read upward from 0 when the sweep sits there and
+down from N otherwise, each level checked. A level matrix is read through its block sums
+(_block_sums), which give f_values' check and intersection_numbers. The
+weights of the (a, b) combination live in _ab_weights, read by
 CoefficientVector.from_ab and by positivity's integer drop scan.
 """
 
@@ -36,7 +38,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 from weakref import ref
@@ -298,22 +299,31 @@ def _cross(family: FamilyModel, matrix: list[list[int]] | None, values,
     return values
 
 
+def _block_sums(matrix: list[list[int]], n: int) -> tuple[int, int, int, int, int]:
+    """(trace, entry sum) of the light block, (trace, entry sum) of the heavy
+    block and the entry sum of the light-heavy block of a level matrix whose
+    first n sections are light: the one reader of its blocks, for _checked
+    and intersection_numbers."""
+    light, heavy = matrix[:n], matrix[n:]
+    return (sum(row[x] for x, row in enumerate(light)), sum(sum(row[:n]) for row in light),
+            sum(row[n + t] for t, row in enumerate(heavy)), sum(sum(row[n:]) for row in heavy),
+            sum(sum(row[n:]) for row in light))
+
+
 def _checked(family: FamilyModel, level: int, matrix: list[list[int]] | None,
              values: tuple[Fraction, Fraction, Fraction, Fraction]):
     """values, after checking on concrete families that the level matrix gives
-    them as weighted sums of squared section differences."""
+    them as weighted sums of squared section differences, read off its block
+    sums (_block_sums): over the pairs of a block, the sum of
+    M_xx + M_yy - 2 M_xy is size * trace - entry sum, and over the light-heavy
+    pairs m * light trace + n * heavy trace - 2 * mixed entry sum."""
     if matrix is None:
         return values
     n, m = family.weights.n, family.weights.m
-
-    def potential(pairs, scale: int) -> Fraction:
-        total = sum(matrix[x][x] + matrix[y][y] - 2 * matrix[x][y] for x, y in pairs)
-        return -Fraction(total, scale) if scale > 0 else Fraction(0)
-
-    light, heavy = range(n), range(n, n + m)
-    found = (potential(combinations(light, 2), n - 1),
-             potential(combinations(heavy, 2), m - 1),
-             potential(product(light, heavy), n * m))
+    trace_l, sum_l, trace_h, sum_h, mixed = _block_sums(matrix, n)
+    found = tuple(-Fraction(total, scale) if scale > 0 else Fraction(0) for total, scale in (
+        (n * trace_l - sum_l, n - 1), (m * trace_h - sum_h, m - 1),
+        (m * trace_l + n * trace_h - 2 * mixed, n * m)))
     if found != values[1:]:
         raise ConcreteAbstractMismatch(
             f"level {level}: matrix potentials {found} "
@@ -343,13 +353,14 @@ def level_matrix(family: FamilyModel, level: int) -> list[list[int]]:
 
 
 def intersection_numbers(family: FamilyModel) -> IntersectionReport:
-    """Exact pairings of the family with the tautological and boundary classes."""
+    """Exact pairings of the family with the tautological and boundary classes,
+    read off the level-0 matrix's block sums (_block_sums): psi_sigma and
+    psi_tau are the negated light and heavy traces, delta_s the sum over
+    light pairs, (light entry sum - light trace)/2."""
     w = family.weights
-    matrix = level_matrix(family, 0)
-    n = w.n
-    psi_sigma = Fraction(-sum(matrix[i][i] for i in range(n)))
-    psi_tau = Fraction(-sum(matrix[n + t][n + t] for t in range(w.m)))
-    delta_s = Fraction(sum(matrix[a][b] for a in range(n) for b in range(a + 1, n)))
+    trace_l, sum_l, trace_h, _, _ = _block_sums(level_matrix(family, 0), w.n)
+    psi_sigma, psi_tau = Fraction(-trace_l), Fraction(-trace_h)
+    delta_s = Fraction((sum_l - trace_l) // 2)
     counts: dict[BoundaryKey, int] = {}
     for step in family.steps:
         key = canonical_boundary_key(w, step.r1, step.r2)
@@ -445,6 +456,19 @@ def f_values(family: FamilyModel, level: int) -> tuple[Fraction, Fraction, Fract
     values = _cross(family, matrix, values, at, level)
     _last_sweep[:] = [(ref(family), level, matrix, values)]
     return _checked(family, level, matrix, values)
+
+
+def _f_series(family: FamilyModel) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """f_values at levels 0..N, each level checked: the one reader of the
+    potential series, for positivity.g_series and `nefcert family fvalues`.
+    It reads upward from 0 when the last sweep left this family object at
+    level 0, otherwise downward from N, so a reread of the series, which
+    leaves the sweep at one end, crosses the chain once, as the first read
+    does."""
+    up = bool(_last_sweep) and _last_sweep[0][0]() is family and _last_sweep[0][1] == 0
+    levels = range(family.n_steps + 1)
+    series = [f_values(family, level) for level in (levels if up else reversed(levels))]
+    return series if up else series[::-1]
 
 
 def evaluate_class(cls: DivisorClass, family: FamilyModel) -> Fraction:

@@ -164,7 +164,15 @@ def pullback_test_curve(n: int, m: int, k: int
     section. The other factor is a product surface carrying the remaining
     n - k light and m heavy sections plus the attaching section, all
     constant.
+
+    Bad input is reported in the caller's terms: the target (n, m, k) and
+    its reduction step are checked first (MorphismSpec.reduction_step), then
+    n >= k. A valid target with n >= k makes both factors valid.
     """
+    MorphismSpec.reduction_step(make_weights(n, m, k))
+    if n < k:
+        raise InvalidWeights(
+            f"the contracted test curve needs n >= k light sections, got n = {n}, k = {k}")
     moving = make_weights(k, 1, k - 1)
     rest = make_weights(n - k, m + 1, k - 1)
     part1 = FamilyModel.concrete(moving, (), (1,) * k, (-1,))
@@ -201,8 +209,8 @@ def derive_pullback_constant(n: int, m: int, k: int) -> Fraction:
     """Recover the psi_sigma correction of the reduction pull-back.
 
     The test curve is contracted, so its pairing with any pulled-back class
-    vanishes: 0 = psi_sigma.B + a * (F.B) forces a = -k.
+    vanishes: 0 = psi_sigma.B + a * (F.B) forces a = -k. The input checks
+    are pullback_test_curve's.
     """
-    make_weights(n, m, k - 1)
     numbers = pullback_test_numbers(n, m, k)
     return -numbers["psi_sigma"] / numbers["exceptional"]

@@ -44,8 +44,8 @@ from .errors import (
     NefcertError,
     NoCaseApplies,
 )
-from .families import (CoefficientVector, FamilyModel, _ab_weights, _last_sweep, _step_drops,
-                       f_values)
+from .families import (CoefficientVector, FamilyModel, _ab_weights, _f_series, _last_sweep,
+                       _step_drops)
 from .morphisms import pullback_reduction
 from .rational import exact, is_int
 
@@ -169,15 +169,15 @@ def min_drop(n: int, m: int, k: int, coeffs: CoefficientVector,
 
 
 def g_series(family: FamilyModel, coeffs: CoefficientVector) -> list[Fraction]:
-    """The combination of the four potentials at every level, 0..N, read by
-    f_values from level N down to 0: its resumed sweep makes that one pass,
-    and it checks every level.
+    """The combination of the four potentials at every level, 0..N, from the
+    potential series (families._f_series): one pass of the resumed sweep,
+    every level checked, from whichever end of the chain the last read of
+    this family left the sweep at.
 
     The last entry is always 0 and consecutive differences are the per-step
     drop values.
     """
-    return [coeffs.combine(f_values(family, level))
-            for level in range(family.n_steps, -1, -1)][::-1]
+    return [coeffs.combine(values) for values in _f_series(family)]
 
 
 def _case_table(n: int, m: int, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -673,11 +673,15 @@ def _certify(n: int, m: int, k: int, c: Fraction,
     and one base leg per boundary stratum at c0 (_stratum_leg). At
     c = (k+1)/(2k) no drop table of the top level is evaluated.
 
-    A level's legs enter its verdict only through their first least drop,
-    which joins the witness (its value the margin; the higher level wins a
-    tie, as it comes first in the trace). The trace and the strata list the
-    levels from k down; (a, b) come from the root's leg, the top level's last
-    (reachable_strata lists (n, m) last).
+    Each level is built by its kind, in one branch: level 1's legs on the
+    regrouped grids (_grid_shape), with its strata kept beside them, the only
+    strata stored; a level >= 2's legs on its strata's own shapes, whose grids
+    are the strata. A level's legs enter its verdict only through their first
+    least drop, which joins the witness (its value the margin; the higher
+    level wins a tie, as it comes first in the trace). The trace lists the
+    levels from k down; strata_checked lists the legs' grids from k down to
+    2, then level 1's strata. (a, b) come from the root's leg, the top
+    level's last (reachable_strata lists (n, m) last).
     """
     weights = make_weights(n, m, k)
     lo, hi = ample_interval(k)
@@ -690,7 +694,7 @@ def _certify(n: int, m: int, k: int, c: Fraction,
 
     if k > 1:  # every level's upper endpoint transports, checked once per certification
         _check_transport(n, m, k)
-    legs_by_level, strata_by_level = [], []  # level 1 first
+    legs_by_level = []  # level 1 first
     unused = set(eps or ())
     witness, endpoint_strict = None, True  # level 1 is the ground
     # below the top, a level is reached at the upper endpoint of the level
@@ -702,37 +706,33 @@ def _certify(n: int, m: int, k: int, c: Fraction,
             endpoint_strict = _transports(verdict, zeros, witness, level)
             if level == k and c == hi:
                 break
-        at_lo = level < k or c == lo
         # from level n up reachable_strata's closed form gives one list whatever the level
         shapes = reachable_strata(n, m, level) if level <= max(n, 1) else shapes
-        best = None
-        legs, strata, zeros = [], [], []
-        for n1, m1 in shapes:
-            shape = _grid_shape(n1, m1, level)  # the leg key: strata of one grid share it
-            leg = _cached_stratum_leg(*shape, level, leg_c)
+        if level == 1:  # the ground: strata of one regrouped grid share its leg
+            legs = [_cached_stratum_leg(*_grid_shape(n1, m1, 1), 1, leg_c) for n1, m1 in shapes]
             if eps:
-                leg = _shifted_leg(leg, eps, unused)
+                legs = [_shifted_leg(leg, eps, unused) for leg in legs]
+            # (n1, 1) regroups to itself: only m1 >= 2 strata differ from their grid
+            ground = [_cached_weights(n1, m1, 1) if m1 >= 2 else leg.grid
+                      for (n1, m1), leg in zip(shapes, legs)]
+            zeros = [stratum for stratum, leg in zip(ground, legs)
+                     if leg.minimum is not None and leg.minimum.value == 0]
+        else:  # each stratum's base leg at c0, on its own grid: the strata are the grids
+            legs = [_cached_stratum_leg(n1, m1, level, None) for n1, m1 in shapes]
+            if eps:
+                legs = [_shifted_leg(leg, eps, unused) for leg in legs]
+            # at the lower endpoint a base value equal to c leaves no convex room:
+            # genuine zero curves. Cases 3 and 4 (m >= 2) put c0 strictly inside
+            # (1/2, cap), so only point cases, settled legs never among them, meet the cap
+            zeros = [leg.grid for leg in legs if leg.grid.m < 2 and not _below_cap(leg.c, level)
+                     ] if level < k or c == lo else []
+        best = None  # least drops compared in integers: a Fraction < first checks numbers.Rational
+        for leg in legs:
             low = leg.minimum
-            if level == 1:
-                # (n1, 1) regroups to itself: only m1 >= 2 strata differ from their grid
-                stratum = _cached_weights(n1, m1, 1) if m1 >= 2 else leg.grid
-                if low is not None and low.value == 0:
-                    zeros.append(stratum)
-            else:
-                stratum = leg.grid
-                # cases 3 and 4 (m >= 2) put c0 strictly inside (1/2, cap), so only
-                # point cases, settled legs never among them, can meet the cap
-                if at_lo and stratum.m < 2 and not _below_cap(leg.c, level):
-                    # base value equals c itself: no convex room, genuine zero curves
-                    zeros.append(stratum)
-            # least drops compared in integers: a Fraction < first checks numbers.Rational
             if low is not None and (best is None or low.value.numerator * least_den
                                     < least_num * low.value.denominator):
                 best, least_num, least_den = low, low.value.numerator, low.value.denominator
-            legs.append(leg)
-            strata.append(stratum)
         legs_by_level.append(legs)
-        strata_by_level.append(strata)
         verdict, notes = _level_verdict(
             level, endpoint_strict, best.value if best is not None else None, zeros)
         if best is not None and (witness is None or best.value <= witness.value):
@@ -751,8 +751,9 @@ def _certify(n: int, m: int, k: int, c: Fraction,
         a = b = None
     else:  # from the root's leg, the top level's last
         zero_strata, a, b = tuple(zeros), legs[-1].a, legs[-1].b
+    trace = tuple(chain.from_iterable(reversed(legs_by_level)))
+    # the legs' grids from level k down to 2, then the ground's strata
+    strata = (*(leg.grid for leg in trace[:len(trace) - len(ground)]), *ground)
     return Certificate(verdict, weights, c, a, b, witness,
-                       witness.value if witness is not None else None,
-                       tuple(chain.from_iterable(reversed(strata_by_level))),
-                       zero_strata=zero_strata, notes=notes,
-                       trace=tuple(chain.from_iterable(reversed(legs_by_level))))
+                       witness.value if witness is not None else None, strata,
+                       zero_strata=zero_strata, notes=notes, trace=trace)

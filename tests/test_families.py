@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import json
 import random
 import time
@@ -476,6 +477,72 @@ class TestSweep:
         assert result.stderr.startswith("error: level 3: matrix potentials")
 
 
+def pair_potentials(matrix, n, m):
+    """The oracle of _checked: (F_sigma, F_tau, F_sigma_tau) as sums over
+    section pairs of M_xx + M_yy - 2 M_xy, negated over the pair count's
+    denominator (n - 1, m - 1, nm), 0 where a block has no pair."""
+    def potential(pairs, scale):
+        total = sum(matrix[x][x] + matrix[y][y] - 2 * matrix[x][y] for x, y in pairs)
+        return -F(total, scale) if scale > 0 else F(0)
+
+    light, heavy = range(n), range(n, n + m)
+    return (potential(itertools.combinations(light, 2), n - 1),
+            potential(itertools.combinations(heavy, 2), m - 1),
+            potential(itertools.product(light, heavy), n * m))
+
+
+def pair_numbers(matrix, n, m):
+    """The oracle of intersection_numbers: psi_sigma, psi_tau and delta_s read
+    entry by entry off a level-0 matrix."""
+    return (-sum(matrix[x][x] for x in range(n)), -sum(matrix[y][y] for y in range(n, n + m)),
+            sum(matrix[x][y] for x, y in itertools.combinations(range(n), 2)))
+
+
+class TestBlockSums:
+    """_checked and intersection_numbers read a level matrix through its
+    block sums (families._block_sums); the pair sums they replaced are the
+    oracle, on every level of random concrete families."""
+
+    SHAPES = ((7, 0, 2), (5, 0, 1), (6, 1, 2), (4, 1, 1), (2, 1, 1), (5, 3, 2), (3, 4, 1),
+              (2, 5, 3), (0, 4, 1), (1, 3, 2), (6, 2, 3))
+
+    def cases(self):
+        rng = random.Random(4242)
+        cases = [fam for n, m, k in self.SHAPES for _ in range(5)
+                 if (fam := random_concrete_family_on(rng, nc.make_weights(n, m, k), 9))]
+        # m = 0, 1 and >= 2 each with families that have steps
+        assert {min(fam.weights.m, 2) for fam in cases if fam.n_steps} == {0, 1, 2}
+        return cases
+
+    def test_checked_potentials_are_the_pair_sums(self):
+        for fam in self.cases():
+            n, m = fam.weights.n, fam.weights.m
+            for level in range(fam.n_steps + 1):
+                matrix = nc.level_matrix(fam, level)
+                oracle = pair_potentials(matrix, n, m)
+                values = (F(fam.n_steps - level), *oracle)
+                assert families._checked(fam, level, matrix, values) is values
+                for which in range(3):
+                    off = list(oracle)
+                    off[which] += F(1, 7)
+                    with pytest.raises(ConcreteAbstractMismatch, match=f"^level {level}: "):
+                        families._checked(fam, level, matrix, (values[0], *off))
+                assert nc.f_values(fam, level) == values
+
+    def test_intersection_numbers_are_the_pair_sums(self):
+        for fam in self.cases():
+            w = fam.weights
+            for level in range(fam.n_steps + 1):
+                # the family of the level surface: the chain below it dropped
+                upper = nc.FamilyModel.concrete(w, fam.steps[level:], fam.final_e_sigma,
+                                                fam.final_e_tau)
+                report = nc.intersection_numbers(upper)
+                assert (report.psi_sigma_B, report.psi_tau_B, report.delta_s_B) == \
+                    pair_numbers(nc.level_matrix(fam, level), w.n, w.m)
+                assert all(isinstance(v, F) for v in (report.psi_sigma_B, report.psi_tau_B,
+                                                      report.delta_s_B))
+
+
 def fresh_series(fam):
     """f_values at every level, each read from a fresh process's state, so
     each level is a sweep of its own from the terminal surface."""
@@ -539,6 +606,40 @@ class TestResumedSweep:
             for level in (levels if ascending else reversed(levels)):
                 nc.f_values(fam, level)
             assert fam.n_steps == 40 and len(crossed) <= 2 * fam.n_steps
+
+    def test_rereading_the_series_crosses_the_chain_once(self, monkeypatch):
+        path = Path(__file__).with_name("families") / "chain.json"
+        reference = fresh_series(nc.family_from_json(path.read_text()))
+        drops = families._step_drops
+        crossed = []
+
+        def counted(*counts):
+            crossed.append(counts)
+            return drops(*counts)
+
+        monkeypatch.setattr(families, "_step_drops", counted)
+        fam, other = (nc.family_from_json(path.read_text()) for _ in range(2))
+        coeffs = nc.CoefficientVector.from_ab(fam.weights.n, fam.weights.m, F(3, 5), F(1, 3))
+
+        def crossings(read, expected=reference):
+            crossed.clear()
+            assert read() == expected
+            return len(crossed)
+
+        assert fam.n_steps == 40
+        # fresh, then from level 0 upward, then from level N downward
+        g = [coeffs.combine(values) for values in reference]
+        assert [crossings(lambda: nc.g_series(fam, coeffs), g) for _ in range(3)] == [40] * 3
+        assert [crossings(lambda: families._f_series(fam)) for _ in range(2)] == [40] * 2
+        # left in the middle: up to N, then down; left at level 0 of another
+        # family object: a fresh sweep from N
+        nc.f_values(fam, 10)
+        assert crossings(lambda: families._f_series(fam)) == 30 + 40
+        nc.f_values(other, 0)
+        assert crossings(lambda: families._f_series(fam)) == 40
+        crossed.clear()
+        assert CliRunner().invoke(main, ["family", "fvalues", str(path)]).exit_code == 0
+        assert len(crossed) == 40
 
     def test_a_bad_index_below_the_first_read_fails_as_a_fresh_sweep(self):
         def bad():

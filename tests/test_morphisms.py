@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import comb
@@ -236,6 +237,37 @@ class TestDerivedConstants:
             assert numbers["exceptional"] == -1
             # the delta rule constant from the same projection formula
             assert -numbers["delta"] / numbers["exceptional"] == -1
+
+    @pytest.mark.parametrize("derive, args, message", [
+        (nc.derive_pullback_constant, (5, 0, 1), "a reduction step needs k >= 2"),
+        (nc.pullback_test_curve, (2, 3, 3),
+         "the contracted test curve needs n >= k light sections, got n = 2, k = 3"),
+        (nc.derive_pullback_constant, (5, 0, 3), "empty moduli problem: m + n/k = 5/3 is not > 2"),
+        (nc.pullback_test_numbers, (4, 2, 5), "the contracted test curve needs n >= k light "
+                                              "sections, got n = 4, k = 5"),
+    ])
+    def test_pullback_curve_input_is_checked_in_the_callers_terms(self, derive, args, message):
+        with pytest.raises(InvalidWeights) as excinfo:
+            derive(*args)
+        assert str(excinfo.value) == message
+
+    def test_a_valid_target_with_n_at_least_k_has_valid_factors(self):
+        checked = 0
+        for n, m, k in itertools.product(range(14), range(6), range(1, 9)):
+            try:
+                nc.make_weights(n, m, k)
+            except InvalidWeights:
+                continue
+            if k < 2 or n < k:
+                with pytest.raises(InvalidWeights):
+                    nc.pullback_test_curve(n, m, k)
+                continue
+            parts = nc.pullback_test_curve(n, m, k)
+            assert [w for w, _ in parts] == [nc.make_weights(k, 1, k - 1),
+                                              nc.make_weights(n - k, m + 1, k - 1)]
+            assert nc.derive_pullback_constant(n, m, k) == -k
+            checked += 1
+        assert checked > 150
 
     def test_pushforward_needs_room(self):
         with pytest.raises(InvalidWeights):

@@ -480,6 +480,26 @@ class TestCellLabels:
             nc.perturbed_certify(7, 0, 2, F(7, 10), {nc.BoundaryKey(3, 0): -0.2})
 
 
+# every reader of eps or boundary keys goes through divisors._as_key
+KEY_READERS = {
+    "DivisorClass": lambda eps: nc.DivisorClass(nc.make_weights(7, 0, 2), 0, (), 0, 0, eps),
+    "canonical_eps": lambda eps: nc.canonical_eps(nc.make_weights(7, 0, 2), eps),
+    "certify_generic": lambda eps: nc.certify_generic(7, 0, 2, F(7, 10), eps=eps),
+    "perturbed_certify": lambda eps: nc.perturbed_certify(7, 0, 2, F(7, 10), eps),
+    "min_drop": lambda eps: nc.min_drop(7, 0, 2, nc.CoefficientVector.from_ab(7, 0, F(1, 2), 0),
+                                        eps),
+}
+
+
+@pytest.mark.parametrize("key", [(3,), "3,0", None, (3, 0, 1)], ids=repr)
+@pytest.mark.parametrize("reader", sorted(KEY_READERS))
+def test_a_malformed_key_raises_naming_it(reader, key):
+    with pytest.raises(InvalidBoundaryKey) as err:
+        KEY_READERS[reader]({key: F(1, 10)})
+    assert str(err.value) == f"expected a BoundaryKey or an (i, j) pair, got {key!r}"
+    KEY_READERS[reader]({(3, 0): F(1, 10)})  # a pair is read
+
+
 def _interior(k):
     lo, hi = nc.ample_interval(k)
     return (lo + hi) / 2
@@ -587,6 +607,38 @@ class TestLegMemo:
         info = positivity._cached_stratum_leg.cache_info()
         assert info.currsize == info.maxsize
         assert held <= self.FOOTPRINT_2048 * 3 // 2, held
+
+
+class TestStrataChecked:
+    """strata_checked lists the legs' grids from level k down to 2, then the
+    level-1 strata, each beside its leg in the trace; a level-1 stratum with
+    m >= 2 is certified on its regrouped grid (n + m - 1, 1, 1)."""
+
+    VECTORS = ((7, 0, 2), (9, 2, 4), (6, 1, 3), (5, 3, 1), (3, 3, 12), (4, 4, 2), (1, 5, 3))
+
+    def certificates(self, n, m, k):
+        lo, hi = nc.ample_interval(k)
+        cs = (F(3, 4), F(5, 4), F(7, 10)) if k == 1 else (lo, _interior(k), hi)
+        for c in cs:
+            cert = nc.certify_interval(n, m, k, c)
+            yield cert
+            w, grid = cert.witness, next(e.grid for e in cert.trace if e.minimum == cert.witness)
+            key = min((w.r1, w.r2), (grid.n - w.r1, grid.m - w.r2))
+            yield nc.perturbed_certify(n, m, k, c, {key: F(1, 1000)})
+
+    def test_each_stratum_is_its_legs_grid_or_regrouped(self):
+        for n, m, k in self.VECTORS:
+            for cert in self.certificates(n, m, k):
+                assert len(cert.strata_checked) == len(cert.trace)
+                for stratum, leg in zip(cert.strata_checked, cert.trace):
+                    if stratum.k == 1 and stratum.m >= 2:
+                        assert leg.grid == nc.make_weights(stratum.n + stratum.m - 1, 1, 1)
+                    else:
+                        assert stratum == leg.grid
+                top = k - 1 if cert.c == nc.ample_interval(k)[1] else k
+                assert [(s.n, s.m, s.k) for s in cert.strata_checked] == [
+                    (a, b, level) for level in range(top, 0, -1)
+                    for a, b in nc.reachable_strata(n, m, level)]
 
 
 class TestTransportMemo:

@@ -72,7 +72,8 @@ def heavy_counts(n: int, m: int, k: int, i: int) -> range:
     i + j*k > k and (n-i) + (m-j)*k > k, that is j > (k-i)/k and
     m - j > (k-n+i)/k: an integer interval of j.
     """
-    return range(max(0, (k - i) // k + 1), min(m, m - 1 - (k - n + i) // k) + 1)
+    lo, hi = (k - i) // k + 1, m - 1 - (k - n + i) // k
+    return range(lo if lo > 0 else 0, (hi if hi < m else m) + 1)  # no max/min calls: a hot path
 
 
 def make_weights(n: int, m: int, k: int) -> WeightVector:

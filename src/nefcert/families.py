@@ -26,11 +26,11 @@ place and telescopes the potentials; level_matrix and f_values read from
 it. f_values keeps the walk's state between calls on one family and moves
 it up or down the chain, so reading every level in turn costs one pass:
 the potential series (positivity.g_series, `nefcert family fvalues`) is
-_f_series, f_values read upward from 0 when the sweep sits there and
-down from N otherwise, each level checked. A level matrix is read through its block sums
-(_block_sums), which give f_values' check and intersection_numbers. The
-weights of the (a, b) combination live in _ab_weights, read by
-CoefficientVector.from_ab and by positivity's integer drop scan.
+_f_series, f_values read from level N down to 0, each level checked. A
+level matrix is read through its block sums (_block_sums), which give
+f_values' check and intersection_numbers. The weights of the (a, b)
+combination live in _ab_weights, read by CoefficientVector.from_ab and by
+positivity's integer drop scan.
 """
 
 from __future__ import annotations
@@ -459,16 +459,10 @@ def f_values(family: FamilyModel, level: int) -> tuple[Fraction, Fraction, Fract
 
 
 def _f_series(family: FamilyModel) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """f_values at levels 0..N, each level checked: the one reader of the
-    potential series, for positivity.g_series and `nefcert family fvalues`.
-    It reads upward from 0 when the last sweep left this family object at
-    level 0, otherwise downward from N, so a reread of the series, which
-    leaves the sweep at one end, crosses the chain once, as the first read
-    does."""
-    up = bool(_last_sweep) and _last_sweep[0][0]() is family and _last_sweep[0][1] == 0
-    levels = range(family.n_steps + 1)
-    series = [f_values(family, level) for level in (levels if up else reversed(levels))]
-    return series if up else series[::-1]
+    """f_values at levels 0..N, read from level N down to 0 so that the resumed
+    sweep makes one pass, each level checked: the one reader of the potential
+    series, for positivity.g_series and `nefcert family fvalues`."""
+    return [f_values(family, level) for level in reversed(range(family.n_steps + 1))][::-1]
 
 
 def evaluate_class(cls: DivisorClass, family: FamilyModel) -> Fraction:

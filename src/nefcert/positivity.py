@@ -108,8 +108,9 @@ def admissible_pairs(n: int, m: int, k: int) -> list[tuple[int, int]]:
 
 def _scan(n: int, m: int, k: int, weights, labels=(), cells=None) -> DropEvaluation | None:
     """The first least drop in grid order over the admissible (n, m, k) cells or
-    over cells, (r1, r2s) rows in grid order, shifted by value at the cells of
-    key and its complement for the (key, value) labels the caller picked.
+    over cells, (r1, r2s) rows in grid order, each r2s a run of consecutive
+    counts, shifted by value at the cells of key and its complement for the
+    (key, value) labels the caller picked.
     weights holds (numerator, denominator) of a_sigma, a_tau, a_sigma_tau and
     a_delta in drop_value's drop, -a_delta + a_sigma*r1(n-r1)/(n-1) +
     a_tau*r2(m-r2)/(m-1) + a_sigma_tau*(r1(m-r2) + r2(n-r1))/(nm), less the
@@ -126,11 +127,26 @@ def _scan(n: int, m: int, k: int, weights, labels=(), cells=None) -> DropEvaluat
         for r1, r2 in ((key.i, key.j), (n - key.i, m - key.j)):
             shifts.setdefault(r1, {})[r2] = scaled
     if cells is None:
-        cells = ((r1, heavy_counts(n, m, k, r1)) for r1 in range(n + 1))
+        cells = [(r1, heavy_counts(n, m, k, r1)) for r1 in range(n + 1)]
+        if s >= 0:
+            # a drop is concave in r1, and so is a row's least over one range of
+            # counts: inside a run of unshifted rows with one range, a row is
+            # strictly above the lesser of the run's two ends or ties the first.
+            # Only run ends and shifted rows are scored
+            runs = [None if r1 in shifts else r2s for r1, r2s in cells]
+            cells = [row for row, before, key, after in zip(cells, [None, *runs], runs, runs[1:])
+                     if key is None or key != before or key != after] + cells[-1:]
     best = best_r1 = best_r2 = None
     for r1, r2s in cells:
         p, q = s * r1 * (n - r1) + x * r1 * m - z, t * m + x * (n - 2 * r1)
         row = shifts.get(r1)
+        if not row and len(r2s) > 2:
+            # unshifted, a row's drop p + q*r2 - t*r2^2 is concave for t >= 0, least at
+            # an end; convex otherwise, least at an end or beside the vertex q/(2t).
+            # Every other count of the run is strictly above, so none is scored
+            lo, hi = r2s[0], r2s[-1]
+            r2s = (lo, hi) if t >= 0 else [
+                r2 for r2 in (lo, q // (2 * t), q // (2 * t) + 1, hi) if lo <= r2 <= hi]
         for r2 in r2s:
             value = p + r2 * (q - t * r2)
             if row:
@@ -170,9 +186,8 @@ def min_drop(n: int, m: int, k: int, coeffs: CoefficientVector,
 
 def g_series(family: FamilyModel, coeffs: CoefficientVector) -> list[Fraction]:
     """The combination of the four potentials at every level, 0..N, from the
-    potential series (families._f_series): one pass of the resumed sweep,
-    every level checked, from whichever end of the chain the last read of
-    this family left the sweep at.
+    potential series (families._f_series): one pass of the resumed sweep
+    from level N down to 0, every level checked.
 
     The last entry is always 0 and consecutive differences are the per-step
     drop values.
@@ -701,6 +716,10 @@ def _certify(n: int, m: int, k: int, c: Fraction,
     # above: its own lower endpoint for level >= 2, and 3/4 at level 1, the
     # only level whose legs depend on c; the memo keys c = 3/4 as None
     leg_c = c if k == 1 and c != _LEVEL1_C else None
+
+    def shifted(legs):  # a level's eps-free legs with eps
+        return [_shifted_leg(leg, eps, unused) for leg in legs] if eps else legs
+
     for level in range(1, k + 1):
         if level > 1:
             endpoint_strict = _transports(verdict, zeros, witness, level)
@@ -709,18 +728,15 @@ def _certify(n: int, m: int, k: int, c: Fraction,
         # from level n up reachable_strata's closed form gives one list whatever the level
         shapes = reachable_strata(n, m, level) if level <= max(n, 1) else shapes
         if level == 1:  # the ground: strata of one regrouped grid share its leg
-            legs = [_cached_stratum_leg(*_grid_shape(n1, m1, 1), 1, leg_c) for n1, m1 in shapes]
-            if eps:
-                legs = [_shifted_leg(leg, eps, unused) for leg in legs]
+            legs = shifted([_cached_stratum_leg(*_grid_shape(n1, m1, 1), 1, leg_c)
+                            for n1, m1 in shapes])
             # (n1, 1) regroups to itself: only m1 >= 2 strata differ from their grid
             ground = [_cached_weights(n1, m1, 1) if m1 >= 2 else leg.grid
                       for (n1, m1), leg in zip(shapes, legs)]
             zeros = [stratum for stratum, leg in zip(ground, legs)
                      if leg.minimum is not None and leg.minimum.value == 0]
         else:  # each stratum's base leg at c0, on its own grid: the strata are the grids
-            legs = [_cached_stratum_leg(n1, m1, level, None) for n1, m1 in shapes]
-            if eps:
-                legs = [_shifted_leg(leg, eps, unused) for leg in legs]
+            legs = shifted([_cached_stratum_leg(n1, m1, level, None) for n1, m1 in shapes])
             # at the lower endpoint a base value equal to c leaves no convex room:
             # genuine zero curves. Cases 3 and 4 (m >= 2) put c0 strictly inside
             # (1/2, cap), so only point cases, settled legs never among them, meet the cap

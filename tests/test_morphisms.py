@@ -243,6 +243,7 @@ class TestDerivedConstants:
         (nc.pullback_test_curve, (2, 3, 3),
          "the contracted test curve needs n >= k light sections, got n = 2, k = 3"),
         (nc.derive_pullback_constant, (5, 0, 3), "empty moduli problem: m + n/k = 5/3 is not > 2"),
+        (nc.derive_pullback_constant, (4, 0, 2), "empty moduli problem: m + n/k = 2 is not > 2"),
         (nc.pullback_test_numbers, (4, 2, 5), "the contracted test curve needs n >= k light "
                                               "sections, got n = 4, k = 5"),
     ])

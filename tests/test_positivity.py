@@ -1129,6 +1129,24 @@ class TestIntegerKernels:
             assert as_triple(nc.min_drop(n, m, k, coeffs, eps)) == \
                 oracle_min(n, m, k, coeffs, eps), (n, m, k, eps)
 
+    def test_min_drop_matches_oracle_for_every_sign_of_the_weights(self):
+        # an unshifted row is scored at its ends, and a convex one (a_tau < 0)
+        # beside its vertex too: ties and vertices on, between and past the ends
+        rng = random.Random(5150)
+        grids = list(valid_grids(6, 30, 9))
+        signs = Counter()
+        for _ in range(1500):
+            n, m, k = rng.choice(grids)
+            coeffs = nc.CoefficientVector(*(F(rng.randint(-6, 6), rng.randint(1, 4))
+                                            for _ in range(4)))
+            eps = {nc.BoundaryKey(rng.randint(0, n), rng.randint(0, m)):
+                   F(rng.randint(-9, 9), rng.randint(1, 5))
+                   for _ in range(rng.choice((0, 0, 1, 3)))}
+            signs[(coeffs.a_tau > 0) - (coeffs.a_tau < 0), bool(eps)] += 1
+            assert as_triple(nc.min_drop(n, m, k, coeffs, eps)) == \
+                oracle_min(n, m, k, coeffs, eps), (n, m, k, coeffs, eps)
+        assert len(signs) == 6 and min(signs.values()) > 30
+
     def test_drop_value_matches_oracle_cell_by_cell(self):
         rng = random.Random(777)
         for n, m, k in valid_grids(3, 12, 4):

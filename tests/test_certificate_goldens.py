@@ -132,6 +132,16 @@ API_CASES = [
     # least drops of two levels tie at different counts: the higher level's wins
     (perturbed_certify, 3, 2, 4, F(49, 80),
      {(0, 2): F(-1, 8), (1, 1): F(1, 8), (2, 0): F(-1, 24)}),
+    # large grids: more legs than the leg memo holds, and a lower endpoint
+    (certify_interval, 70, 4, 5, F(71, 120), None),
+    (certify_interval, 56, 2, 3, F(5, 8), None),
+    # perturbed grids with n > 2k + 2, every run of rows present: eps raises
+    # 1,048 minimizers and 145 of them move; lowered cells take 26 legs' first
+    # least; lowered cells tie minimizers before and after them in grid order,
+    # next to lowered minimizers
+    (perturbed_certify, 47, 8, 3, F(55, 84), {(1, 1): F(3, 128), (21, 8): F(1, 64)}),
+    (perturbed_certify, 26, 4, 5, F(97, 165), {(2, 1): F(-1, 6), (5, 3): F(-1, 48)}),
+    (perturbed_certify, 18, 3, 4, F(173, 280), {(1, 1): F(-1, 40), (5, 2): F(-1, 160)}),
 ]
 
 

@@ -106,15 +106,21 @@ def admissible_pairs(n: int, m: int, k: int) -> list[tuple[int, int]]:
     return [(r1, r2) for r1 in range(n + 1) for r2 in heavy_counts(n, m, k, r1)]
 
 
-def _scan(n: int, m: int, k: int, weights, labels=(), cells=None) -> DropEvaluation | None:
+def _scan(n: int, m: int, k: int, weights, labels=(), cells=None,
+          floor: DropEvaluation | None = None) -> DropEvaluation | None:
     """The first least drop in grid order over the admissible (n, m, k) cells or
     over cells, (r1, r2s) rows in grid order, each r2s a run of consecutive
     counts, shifted by value at the cells of key and its complement for the
-    (key, value) labels the caller picked.
+    (key, value) labels the caller picked. By default only the rows that can
+    hold the first least are built, in closed form (see below).
     weights holds (numerator, denominator) of a_sigma, a_tau, a_sigma_tau and
     a_delta in drop_value's drop, -a_delta + a_sigma*r1(n-r1)/(n-1) +
     a_tau*r2(m-r2)/(m-1) + a_sigma_tau*(r1(m-r2) + r2(n-r1))/(nm), less the
-    terms families._step_drops sets to 0; all in integers over one denominator."""
+    terms families._step_drops sets to 0; all in integers over one denominator.
+    floor, when given, is the first least of the grid's unshifted cells, none
+    of them in cells: it is not scored but competes as the cell it names, and
+    the result is None when no cell of cells comes before it (a lower drop, or
+    the same drop at an earlier cell)."""
     (sn, sd), (tn, td), (xn, xd), (zn, zd) = weights
     sn, sd = (sn, sd * (n - 1)) if n >= 2 else (0, 1)
     tn, td = (tn, td * (m - 1)) if m >= 2 else (0, 1)
@@ -127,16 +133,24 @@ def _scan(n: int, m: int, k: int, weights, labels=(), cells=None) -> DropEvaluat
         for r1, r2 in ((key.i, key.j), (n - key.i, m - key.j)):
             shifts.setdefault(r1, {})[r2] = scaled
     if cells is None:
-        cells = [(r1, heavy_counts(n, m, k, r1)) for r1 in range(n + 1)]
+        rows = range(n + 1)
         if s >= 0:
-            # a drop is concave in r1, and so is a row's least over one range of
-            # counts: inside a run of unshifted rows with one range, a row is
-            # strictly above the lesser of the run's two ends or ties the first.
-            # Only run ends and shifted rows are scored
-            runs = [None if r1 in shifts else r2s for r1, r2s in cells]
-            cells = [row for row, before, key, after in zip(cells, [None, *runs], runs, runs[1:])
-                     if key is None or key != before or key != after] + cells[-1:]
+            # heavy_counts(n, m, k, r1) changes only at r1 = 1, k + 1, n - k and n,
+            # so the rows form at most five runs with one range of counts each. A
+            # drop is concave in r1, and so is a row's least over one range: inside
+            # a run of unshifted rows, a row is strictly above the lesser of the
+            # run's two ends or ties the first. So only the runs' ends, and each
+            # shifted row with the two rows that end the runs it cuts, are scored;
+            # a row more changes nothing, as a tie goes to the earlier cell
+            rows = {0, 1, k, k + 1, n - k - 1, n - k, n - 1, n}
+            for r1 in shifts:
+                rows.update((r1 - 1, r1, r1 + 1))
+            rows = sorted(r1 for r1 in rows if 0 <= r1 <= n)
+        cells = [(r1, heavy_counts(n, m, k, r1)) for r1 in rows]
     best = best_r1 = best_r2 = None
+    if floor is not None:
+        least = floor.value
+        best, best_r1, best_r2 = least.numerator * (scale // least.denominator), floor.r1, floor.r2
     for r1, r2s in cells:
         p, q = s * r1 * (n - r1) + x * r1 * m - z, t * m + x * (n - 2 * r1)
         row = shifts.get(r1)
@@ -151,9 +165,11 @@ def _scan(n: int, m: int, k: int, weights, labels=(), cells=None) -> DropEvaluat
             value = p + r2 * (q - t * r2)
             if row:
                 value += row.get(r2, 0)
-            if best is None or value < best:
+            # a tie goes to the earlier cell; cells come in grid order, so a tie
+            # can only go to a scored cell against a floor that comes after it
+            if best is None or value < best or value == best and (r1, r2) < (best_r1, best_r2):
                 best, best_r1, best_r2 = value, r1, r2
-    if best is None:
+    if best is None or floor is not None and (best_r1, best_r2) == (floor.r1, floor.r2):
         return None
     return DropEvaluation(best_r1, best_r2, Fraction(best, scale))
 
@@ -396,9 +412,13 @@ def perturbed_certify(n: int, m: int, k: int, c,
     spelling read eps through canonical_eps first, as the CLI does. A key
     that labels no cell of any visited grid, or that is given both as a
     BoundaryKey and as an (i, j) pair (_cell_labels), raises
-    InvalidBoundaryKey. Legs whose grid has no such cell come from the
-    eps-free memo; every other leg starts from its memo leg (_shifted_leg)
-    and is not stored. With eps identically zero this is certify_interval;
+    InvalidBoundaryKey; so does a key with i or j outside its grid's
+    counts, which labels nothing. Legs whose grid has no such cell come from
+    the eps-free memo; every other leg starts from its memo leg
+    (_shifted_leg), scores only the cells eps lowers against the eps-free
+    minimum unless eps moves the minimizer's own cell, stays the memo leg
+    when none of them beats it, and is not stored. With eps identically
+    zero this is certify_interval;
     the maximal uniform shift with a guaranteed strictly_positive verdict is
     that certificate's margin.
     """
@@ -425,9 +445,17 @@ def _cell_labels(eps: Mapping | None) -> dict[BoundaryKey, Fraction]:
 def _grid_labels(grid: WeightVector, eps: Mapping[BoundaryKey, Fraction]) -> list:
     """The (key, value) pairs of eps whose key is the canonical key of an
     admissible cell of grid; a complement or an out-of-grid key labels none:
-    the cell-label reading of eps that min_drop and perturbed_certify share."""
-    return [(key, value) for key, value in eps.items()
-            if key.is_canonical(grid) and key.is_admissible(grid)]
+    the cell-label reading of eps that min_drop and perturbed_certify share.
+    In integers: i in 0..n, (i, j) <= (n - i, m - j), and j in heavy_counts'
+    range, which clips it to 0..m."""
+    n, m, k = grid.n, grid.m, grid.k
+    labels = []
+    for key, value in eps.items():
+        i, j = key.i, key.j
+        if 0 <= i <= n and (2 * i < n or 2 * i == n and 2 * j <= m) \
+                and j in heavy_counts(n, m, k, i):
+            labels.append((key, value))
+    return labels
 
 
 def _leg(grid: WeightVector, c: Fraction, a: Fraction, b: Fraction,
@@ -518,23 +546,33 @@ def _settled_cell(n: int, m: int) -> tuple[int, int, int, int, int] | None:
 def _shifted_leg(leg: TraceEntry, eps: Mapping[BoundaryKey, Fraction], unused: set) -> TraceEntry:
     """The eps-free leg with eps; the eps keys that label cells of its grid leave
     unused. Its minimum is the first least drop in grid order, which no cell
-    that eps raises or leaves can undercut: unless eps raises its cell, only it
-    and the cells eps lowers are scored (none: the leg stands). Otherwise the
-    whole grid is scanned again."""
+    that eps raises or leaves can undercut. A leg that no key labels is
+    returned at once. Unless eps moves the minimizer's own cell, only the cells
+    eps lowers are scored, against the eps-free minimum as a floor (_scan), and
+    the leg itself stands when none of them beats it; a lowered minimizer is
+    scored with them, and a raised one rescans the whole grid."""
     grid, low = leg.grid, leg.minimum
     touched = _grid_labels(grid, eps)
-    unused.difference_update(key for key, _ in touched)
-    lowered = set()
-    for key, value in touched:
-        cells = {(key.i, key.j), (grid.n - key.i, grid.m - key.j)}
-        if value.numerator > 0 and (low.r1, low.r2) in cells:
-            return _leg(grid, leg.c, leg.a, leg.b, touched)
-        if value.numerator < 0:
-            lowered |= cells
-    if not lowered:
+    if not touched:
         return leg
-    return _leg(grid, leg.c, leg.a, leg.b, touched,
-                [(r1, (r2,)) for r1, r2 in sorted(lowered | {(low.r1, low.r2)})])
+    if unused:
+        unused.difference_update([key for key, _ in touched])
+    n, m = grid.n, grid.m
+    own, labels, cells = 0, [], []
+    for key, value in touched:
+        i, j, sign = key.i, key.j, value.numerator
+        if (low.r1, low.r2) in ((i, j), (n - i, m - j)):
+            if sign > 0:
+                return _leg(grid, leg.c, leg.a, leg.b, touched)
+            own = sign
+        if sign < 0:
+            labels.append((key, value))
+            cells += ((i, j), (n - i, m - j))
+    if not cells:
+        return leg
+    minimum = _scan(n, m, grid.k, _ab_weights(m, leg.a, leg.b), labels,
+                    [(r1, (r2,)) for r1, r2 in sorted(set(cells))], None if own else low)
+    return leg if minimum is None else TraceEntry(grid, leg.c, leg.a, leg.b, minimum)
 
 
 # Eps-free legs, keyed by grid shape (and at k = 1 by c, None for 3/4), serve
@@ -717,8 +755,14 @@ def _certify(n: int, m: int, k: int, c: Fraction,
     # only level whose legs depend on c; the memo keys c = 3/4 as None
     leg_c = c if k == 1 and c != _LEVEL1_C else None
 
-    def shifted(legs):  # a level's eps-free legs with eps
-        return [_shifted_leg(leg, eps, unused) for leg in legs] if eps else legs
+    def shifted(legs):  # a level's eps-free legs with eps; strata that share a leg share its shift
+        if not eps:
+            return legs
+        moved = {}
+        for leg in legs:
+            if id(leg) not in moved:
+                moved[id(leg)] = _shifted_leg(leg, eps, unused)
+        return [moved[id(leg)] for leg in legs]
 
     for level in range(1, k + 1):
         if level > 1:

@@ -1189,6 +1189,67 @@ class TestIntegerKernels:
                             assert nc.BoundaryKey(i, j).is_admissible(weights) == rational
 
 
+class TestScanRows:
+    """_scan scores, when a_sigma >= 0, only the ends of the runs of rows with
+    one range of counts and the shifted rows with their neighbours; the runs
+    come from where heavy_counts changes."""
+
+    def test_heavy_counts_changes_only_at_the_breakpoints(self):
+        changes = 0
+        for n in range(80):
+            for m in range(10):
+                for k in range(1, 16):
+                    ends = [(r.start, r.stop) for r in
+                            (nc.positivity.heavy_counts(n, m, k, r1) for r1 in range(n + 1))]
+                    for r1 in range(1, n + 1):
+                        if ends[r1] != ends[r1 - 1]:
+                            assert r1 in (1, k + 1, n - k, n), (n, m, k, r1)
+                            changes += 1
+        assert changes > 30000
+
+    @staticmethod
+    def breakpoint_rows(n, k):
+        """Rows at and beside each place heavy_counts changes."""
+        return sorted({r1 + d for r1 in (1, k + 1, n - k, n) for d in (-1, 0, 1)
+                       if 0 <= r1 + d <= n})
+
+    def test_scan_matches_oracle_where_all_five_runs_exist(self):
+        rng = random.Random(3090)
+        seen = Counter()
+        for _ in range(400):
+            k = rng.randint(1, 6)
+            n, m = rng.randint(30, 90), rng.randint(1 if k > 1 else 2, 6)
+            assert n >= 2 * k + 2  # rows 0, 1..k, k+1..n-k-1, n-k..n-1 and n
+            sign = rng.choice((-1, 0, 1))
+            coeffs = nc.CoefficientVector(F(sign * rng.randint(1, 9), rng.randint(1, 5)),
+                                          *(F(rng.randint(-6, 6), rng.randint(1, 4))
+                                            for _ in range(3)))
+            eps = {}
+            for _ in range(rng.choice((0, 1, 2, 3))):
+                i = rng.choice(self.breakpoint_rows(n, k) + [rng.randint(0, n)])
+                j = rng.randint(0, m)
+                eps[nc.BoundaryKey(*min((i, j), (n - i, m - j)))] = \
+                    F(rng.randint(-9, 9), rng.randint(1, 5))
+            labels = positivity._grid_labels(nc.make_weights(n, m, k), eps)
+            seen[sign, bool(labels)] += 1
+            assert as_triple(nc.min_drop(n, m, k, coeffs, eps)) == \
+                oracle_min(n, m, k, coeffs, eps), (n, m, k, coeffs, eps)
+        assert len(seen) == 6 and min(seen.values()) > 20, seen
+
+    def test_labels_beside_a_breakpoint_on_every_row(self):
+        # every canonical key on a row at or beside a breakpoint, lowered by
+        # more than any drop difference, becomes the minimum there
+        n, m, k = 40, 3, 4
+        coeffs = nc.CoefficientVector.from_ab(n, m, *nc.ab_substitution(n, m, k, F(17, 30)))
+        assert coeffs.a_sigma > 0
+        for r1 in self.breakpoint_rows(n, k):
+            for r2 in nc.positivity.heavy_counts(n, m, k, r1):
+                eps = {nc.BoundaryKey(*min((r1, r2), (n - r1, m - r2))): F(-1000)}
+                low = nc.min_drop(n, m, k, coeffs, eps)
+                assert as_triple(low) == oracle_min(n, m, k, coeffs, eps), (r1, r2)
+                assert (low.r1, low.r2) == min((r1, r2), (n - r1, m - r2))
+
+
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
@@ -1453,6 +1514,57 @@ class TestShiftedLegs:
         assert (raised.minimum.r1, raised.minimum.r2, raised.minimum.value) == (4, 0, F(3, 7))
         # a leg whose cells eps only raises, away from its minimizer, stands as it is
         assert self.check(leg, {nc.BoundaryKey(4, 0): F(1)}) is leg
+
+    # (8, 2, 2) at c0 = 17/32: the minimizer is (1, 1), 7/32, after (0, 2), 3/2,
+    # and before (2, 1), 3/8; (0, 2) labels (8, 0) too, and (2, 1) labels (6, 1)
+    def test_a_lowered_cell_that_ties_the_floor_wins_only_before_it(self):
+        leg = positivity._stratum_leg(8, 2, 2, None)
+        assert as_triple(leg.minimum) == (1, 1, F(7, 32))
+        before = self.check(leg, {nc.BoundaryKey(0, 2): F(7, 32) - F(3, 2)})
+        assert as_triple(before.minimum) == (0, 2, F(7, 32))
+        # tied from a later cell, the floor stands: the leg itself, no new entry
+        assert self.check(leg, {nc.BoundaryKey(2, 1): F(7, 32) - F(3, 8)}) is leg
+        below = self.check(leg, {nc.BoundaryKey(2, 1): F(7, 32) - F(3, 8) - F(1, 96)})
+        assert as_triple(below.minimum) == (2, 1, F(7, 32) - F(1, 96))
+
+    def test_a_lowered_minimizer_is_scored_with_the_other_lowered_cells(self):
+        leg = positivity._stratum_leg(8, 2, 2, None)
+        one, two = nc.BoundaryKey(1, 1), nc.BoundaryKey(2, 1)
+        kept = self.check(leg, {one: F(-1, 32), two: F(6, 32) - F(3, 8)})
+        assert as_triple(kept.minimum) == (1, 1, F(6, 32)) and kept is not leg
+        moved = self.check(leg, {one: F(-1, 32), two: F(5, 32) - F(3, 8)})
+        assert as_triple(moved.minimum) == (2, 1, F(5, 32))
+
+    def test_a_leg_that_eps_does_not_move_is_the_same_object(self):
+        rng = random.Random(808)
+        legs = [leg for leg in self.legs() if leg.minimum is not None]
+        stood = 0
+        for _ in range(600):
+            leg = rng.choice(legs)
+            low = (leg.minimum.r1, leg.minimum.r2)
+            cell = rng.choice(self.cells(leg))
+            key = self.key(leg, cell)
+            # lowered, but by less than the cell's distance to the floor
+            gap = self.drop(leg, cell) - leg.minimum.value
+            if key != self.key(leg, low) and gap > 0:
+                assert self.check(leg, {key: -gap * rng.randint(1, 99) / 100}) is leg
+                stood += 1
+        assert stood > 300
+
+    @pytest.mark.parametrize("i, j", [(10, -1), (3, -1), (0, -1), (-1, 2), (-1, 0),
+                                      (31, 0), (35, -2)])
+    def test_keys_outside_the_grid_label_nothing(self, i, j):
+        # on (30, 4, 3), i = 10 > 2k leaves heavy_counts' unclipped lower end
+        # (k - i)//k + 1 = -2 below j = -1: the clip at 0 rules it out
+        grid = nc.make_weights(30, 4, 3)
+        key = nc.BoundaryKey(i, j)
+        assert positivity._grid_labels(grid, {key: F(1, 100), nc.BoundaryKey(2, 5): 1}) == []
+        leg = positivity._stratum_leg(30, 4, 3, None)
+        unused = {key}
+        assert positivity._shifted_leg(leg, {key: F(-1, 100)}, unused) is leg
+        assert unused == {key}
+        with pytest.raises(InvalidBoundaryKey, match=rf"\({i},{j}\)"):
+            nc.perturbed_certify(30, 4, 3, F(5, 8) + F(1, 100), {(i, j): F(1, 100)})
 
 
 # --- the case table written out in Fraction arithmetic ------------------------

@@ -133,7 +133,11 @@ def _scan(n: int, m: int, k: int, weights, labels=(), cells=None,
         for r1, r2 in ((key.i, key.j), (n - key.i, m - key.j)):
             shifts.setdefault(r1, {})[r2] = scaled
     if cells is None:
-        rows = range(n + 1)
+        # a cell and its complement (n - r1, m - r2) are admissible together, with
+        # one drop and one shift, and the one in the lower row comes first: the
+        # first least lies in rows 0..n // 2
+        half = n // 2
+        rows = range(half + 1)
         if s >= 0:
             # heavy_counts(n, m, k, r1) changes only at r1 = 1, k + 1, n - k and n,
             # so the rows form at most five runs with one range of counts each. A
@@ -141,11 +145,13 @@ def _scan(n: int, m: int, k: int, weights, labels=(), cells=None,
             # a run of unshifted rows, a row is strictly above the lesser of the
             # run's two ends or ties the first. So only the runs' ends, and each
             # shifted row with the two rows that end the runs it cuts, are scored;
-            # a row more changes nothing, as a tie goes to the earlier cell
+            # a row more changes nothing, as a tie goes to the earlier cell. These
+            # rows are symmetric, so a run across n // 2 is its own mirror image,
+            # with its least at its first row
             rows = {0, 1, k, k + 1, n - k - 1, n - k, n - 1, n}
             for r1 in shifts:
                 rows.update((r1 - 1, r1, r1 + 1))
-            rows = sorted(r1 for r1 in rows if 0 <= r1 <= n)
+            rows = sorted(r1 for r1 in rows if 0 <= r1 <= half)
         cells = [(r1, heavy_counts(n, m, k, r1)) for r1 in rows]
     best = best_r1 = best_r2 = None
     if floor is not None:
@@ -449,13 +455,9 @@ def _grid_labels(grid: WeightVector, eps: Mapping[BoundaryKey, Fraction]) -> lis
     In integers: i in 0..n, (i, j) <= (n - i, m - j), and j in heavy_counts'
     range, which clips it to 0..m."""
     n, m, k = grid.n, grid.m, grid.k
-    labels = []
-    for key, value in eps.items():
-        i, j = key.i, key.j
-        if 0 <= i <= n and (2 * i < n or 2 * i == n and 2 * j <= m) \
-                and j in heavy_counts(n, m, k, i):
-            labels.append((key, value))
-    return labels
+    return [(key, value) for key, value in eps.items()
+            if 0 <= key.i <= n and (2 * key.i < n or 2 * key.i == n and 2 * key.j <= m)
+            and key.j in heavy_counts(n, m, k, key.i)]
 
 
 def _leg(grid: WeightVector, c: Fraction, a: Fraction, b: Fraction,
@@ -557,21 +559,23 @@ def _shifted_leg(leg: TraceEntry, eps: Mapping[BoundaryKey, Fraction], unused: s
         return leg
     if unused:
         unused.difference_update([key for key, _ in touched])
-    n, m = grid.n, grid.m
-    own, labels, cells = 0, [], []
+    # a key's own cell comes no later than its complement, with the same drop
+    # and shift (_scan), so the first least is the own cell of its key, and the
+    # own cells of the keys that lower cells are the only cells scored
+    own, labels = 0, []
     for key, value in touched:
-        i, j, sign = key.i, key.j, value.numerator
-        if (low.r1, low.r2) in ((i, j), (n - i, m - j)):
+        sign = value.numerator
+        if key.i == low.r1 and key.j == low.r2:
             if sign > 0:
                 return _leg(grid, leg.c, leg.a, leg.b, touched)
             own = sign
         if sign < 0:
             labels.append((key, value))
-            cells += ((i, j), (n - i, m - j))
-    if not cells:
+    if not labels:
         return leg
-    minimum = _scan(n, m, grid.k, _ab_weights(m, leg.a, leg.b), labels,
-                    [(r1, (r2,)) for r1, r2 in sorted(set(cells))], None if own else low)
+    cells = sorted((key.i, key.j) for key, _ in labels)
+    minimum = _scan(grid.n, grid.m, grid.k, _ab_weights(grid.m, leg.a, leg.b), labels,
+                    [(r1, (r2,)) for r1, r2 in cells], None if own else low)
     return leg if minimum is None else TraceEntry(grid, leg.c, leg.a, leg.b, minimum)
 
 
@@ -758,10 +762,8 @@ def _certify(n: int, m: int, k: int, c: Fraction,
     def shifted(legs):  # a level's eps-free legs with eps; strata that share a leg share its shift
         if not eps:
             return legs
-        moved = {}
-        for leg in legs:
-            if id(leg) not in moved:
-                moved[id(leg)] = _shifted_leg(leg, eps, unused)
+        moved = {id(leg): leg for leg in legs}
+        moved = {key: _shifted_leg(leg, eps, unused) for key, leg in moved.items()}
         return [moved[id(leg)] for leg in legs]
 
     for level in range(1, k + 1):

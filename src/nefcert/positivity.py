@@ -460,13 +460,12 @@ def _grid_labels(grid: WeightVector, eps: Mapping[BoundaryKey, Fraction]) -> lis
             and key.j in heavy_counts(n, m, k, key.i)]
 
 
-def _leg(grid: WeightVector, c: Fraction, a: Fraction, b: Fraction,
-         labels=(), cells=None) -> TraceEntry:
-    """One leg: the first least drop on grid (over cells, by default all) of
-    the (a, b) combination with labels, scanned with the integer weights
-    (families._ab_weights) that CoefficientVector.from_ab reads too."""
+def _leg(grid: WeightVector, c: Fraction, a: Fraction, b: Fraction, labels=()) -> TraceEntry:
+    """One leg: the first least drop on grid of the (a, b) combination with
+    labels, scanned with the integer weights (families._ab_weights) that
+    CoefficientVector.from_ab reads too."""
     return TraceEntry(grid, c, a, b, _scan(grid.n, grid.m, grid.k, _ab_weights(grid.m, a, b),
-                                           labels, cells))
+                                           labels))
 
 
 def _grid_shape(n: int, m: int, k: int) -> tuple[int, int]:

@@ -117,10 +117,10 @@ def _scan(n: int, m: int, k: int, weights, labels=(), cells=None,
     a_delta in drop_value's drop, -a_delta + a_sigma*r1(n-r1)/(n-1) +
     a_tau*r2(m-r2)/(m-1) + a_sigma_tau*(r1(m-r2) + r2(n-r1))/(nm), less the
     terms families._step_drops sets to 0; all in integers over one denominator.
-    floor, when given, is the first least of the grid's unshifted cells, none
-    of them in cells: it is not scored but competes as the cell it names, and
-    the result is None when no cell of cells comes before it (a lower drop, or
-    the same drop at an earlier cell)."""
+    floor, when given, is the grid's first least without labels, at a cell
+    that no label shifts and that cells leave out: it is not scored but
+    competes as the cell it names, and the result is None when no cell of
+    cells comes before it (a lower drop, or the same drop at an earlier cell)."""
     (sn, sd), (tn, td), (xn, xd), (zn, zd) = weights
     sn, sd = (sn, sd * (n - 1)) if n >= 2 else (0, 1)
     tn, td = (tn, td * (m - 1)) if m >= 2 else (0, 1)
@@ -572,9 +572,8 @@ def _shifted_leg(leg: TraceEntry, eps: Mapping[BoundaryKey, Fraction], unused: s
             labels.append((key, value))
     if not labels:
         return leg
-    cells = sorted((key.i, key.j) for key, _ in labels)
     minimum = _scan(grid.n, grid.m, grid.k, _ab_weights(grid.m, leg.a, leg.b), labels,
-                    [(r1, (r2,)) for r1, r2 in cells], None if own else low)
+                    sorted((key.i, (key.j,)) for key, _ in labels), None if own else low)
     return leg if minimum is None else TraceEntry(grid, leg.c, leg.a, leg.b, minimum)
 
 

@@ -1190,7 +1190,8 @@ class TestIntegerKernels:
 
 
 class TestScanRows:
-    """_scan scores, when a_sigma >= 0, only the ends of the runs of rows with
+    """_scan builds rows up to n // 2 only, where each cell comes before its
+    complement, and when a_sigma >= 0 only the ends of the runs of rows with
     one range of counts and the shifted rows with their neighbours; the runs
     come from where heavy_counts changes."""
 

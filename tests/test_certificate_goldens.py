@@ -142,6 +142,18 @@ API_CASES = [
     (perturbed_certify, 47, 8, 3, F(55, 84), {(1, 1): F(3, 128), (21, 8): F(1, 64)}),
     (perturbed_certify, 26, 4, 5, F(97, 165), {(2, 1): F(-1, 6), (5, 3): F(-1, 48)}),
     (perturbed_certify, 18, 3, 4, F(173, 280), {(1, 1): F(-1, 40), (5, 2): F(-1, 160)}),
+    # settled runs, the levels max(2, n)..k whose strata all have m >= 2: long
+    # runs at an interior c and at the lower endpoint ((3, 3, 40) at the upper
+    # endpoint is above); a run with no admissible cell, so no witness at all; a
+    # one-level run (the top level is skipped at the upper endpoint) whose
+    # witness is its low end; a witness from a run's top end; and eps on a key
+    # that labels a cell of every settled grid
+    (certify_interval, 8, 8, 100, F(20401, 40400), None),
+    (certify_interval, 8, 8, 60, F(31, 61), None),
+    (certify_interval, 1, 2, 30, F(1921, 3720), None),
+    (certify_interval, 4, 3, 5, F(3, 5), None),
+    (certify_interval, 5, 4, 20, F(881, 1680), None),
+    (perturbed_certify, 4, 3, 12, F(337, 624), {(0, 2): F(-1, 1000)}),
 ]
 
 

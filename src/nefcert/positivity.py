@@ -74,7 +74,7 @@ class TraceEntry:
     minimum: DropEvaluation | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Certificate:
     """Outcome of a universal positivity check.
 
@@ -85,6 +85,17 @@ class Certificate:
     exactly 0, so strictness always refers to families with at least one
     blow-down, and at interval endpoints the zero_strata list the stratum
     shapes that genuinely reach degree zero.
+
+    Only what cannot be derived is stored, with the eps of a perturbed run.
+    margin is witness.value; strata_checked and trace are derived each time
+    they are read, never held. strata_checked lists each level's strata,
+    reachable_strata's shapes at that level, from the top level (k, or k - 1
+    at the upper endpoint) down to 1, without building a leg. trace lists
+    the legs beside them, rebuilt through the leg memo with eps applied
+    (_level_legs): reading .trace of a large-k certificate rebuilds every
+    leg of its chain, 62,069 legs at (8, 8, 1000). repr prints the fields in
+    the order above, the derived ones included; == compares the stored
+    fields, and the derived ones only when the eps differ.
     """
 
     verdict: str
@@ -93,11 +104,54 @@ class Certificate:
     a: Fraction | None
     b: Fraction | None
     witness: DropEvaluation | None
-    margin: Fraction | None
-    strata_checked: tuple[WeightVector, ...]
     zero_strata: tuple[WeightVector, ...] = ()
-    trace: tuple[TraceEntry, ...] = ()
     notes: tuple[str, ...] = ()
+    _eps: Mapping[BoundaryKey, Fraction] | None = None  # as the legs read it, if any
+    _generic: bool = False  # certify_generic's: one leg, on weights
+
+    @property
+    def margin(self) -> Fraction | None:
+        return self.witness.value if self.witness is not None else None
+
+    def _levels(self):
+        """(level, shapes) of the certified chain from its top level down to 1."""
+        n, m, k = self.weights.n, self.weights.m, self.weights.k
+        return _chain(n, m, range(k - 1 if k > 1 and self.c == ample_interval(k)[1] else k, 0, -1))
+
+    @property
+    def strata_checked(self) -> tuple[WeightVector, ...]:
+        if self._generic:
+            return (self.weights,)
+        return tuple(WeightVector(n1, m1, level) for level, shapes in self._levels()
+                     for n1, m1 in shapes)
+
+    @property
+    def trace(self) -> tuple[TraceEntry, ...]:
+        if self._generic:
+            return (_leg(self.weights, self.c, self.a, self.b, (self._eps or {}).items()),)
+        n, m, k = self.weights.n, self.weights.m, self.weights.k
+        leg_c = _level1_c(k, self.c)
+        return tuple(chain.from_iterable(_level_legs(n, m, level, shapes, leg_c, self._eps, set())
+                                         for level, shapes in self._levels()))
+
+    def _stored(self) -> tuple:
+        return (self.verdict, self.weights, self.c, self.a, self.b, self.witness,
+                self.zero_strata, self.notes)
+
+    def __eq__(self, other):
+        if other.__class__ is not Certificate:
+            return NotImplemented
+        return self._stored() == other._stored() and (
+            (self._eps, self._generic) == (other._eps, other._generic)
+            or (self.strata_checked, self.trace) == (other.strata_checked, other.trace))
+
+    def __hash__(self) -> int:
+        return hash(self._stored())
+
+    def __repr__(self) -> str:
+        return "Certificate(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in (
+            "verdict", "weights", "c", "a", "b", "witness", "margin", "strata_checked",
+            "zero_strata", "trace", "notes")) + ")"
 
 
 def admissible_pairs(n: int, m: int, k: int) -> list[tuple[int, int]]:
@@ -379,19 +433,18 @@ def certify_generic(n: int, m: int, k: int, c, *,
     """
     weights = make_weights(n, m, k)
     c = exact(c)
-    labels = canonical_eps(weights, eps).items() if eps else ()
-    leg = _leg(weights, c, *ab_substitution(n, m, k, c), labels)
-    margin = leg.minimum.value if leg.minimum is not None else None
-    drop = margin or 0  # no admissible cell: every family is step-free and pairs to 0
+    labels = canonical_eps(weights, eps) if eps else None
+    a, b = ab_substitution(n, m, k, c)
+    low = _leg(weights, c, a, b, labels.items() if labels else ()).minimum
+    drop = low.value if low is not None else 0  # no admissible cell: every family is step-free
     verdict = STRICTLY_POSITIVE if drop > 0 else ZERO_CHARACTERIZED if drop == 0 else INCONCLUSIVE
     notes = ("no admissible blow-down counts: every generically smooth family is step-free "
-             "and pairs to exactly 0" if margin is None else
+             "and pairs to exactly 0" if low is None else
              "step-free families pair the combination to exactly 0; "
              "strictness refers to families with at least one blow-down",)
-    return Certificate(
-        verdict, weights, c, leg.a, leg.b, leg.minimum, margin, (weights,),
-        zero_strata=(weights,) if verdict == ZERO_CHARACTERIZED else (),
-        trace=(leg,), notes=notes)
+    return Certificate(verdict, weights, c, a, b, low,
+                       zero_strata=(weights,) if verdict == ZERO_CHARACTERIZED else (),
+                       notes=notes, _eps=labels, _generic=True)
 
 
 def certify_interval(n: int, m: int, k: int, c) -> Certificate:
@@ -483,11 +536,11 @@ def _leg_class(n: int, m: int, k: int, c: Fraction | None) -> tuple[Fraction, Fr
     c0_lower's base value, the mean of _case_table's two ends of c (a point is
     both) in integers; at k = 1 the given c (3/4 when None), with (a, b) at c
     capped at 1 on m = 1 grids (see _certify). The memo lets legs share them,
-    settled legs (_settled_cell) included. The bound holds the classes of the
-    levels that every deep chain visits: over 1,500 certify-deep ops it misses
-    17% of its calls, against 45% at 256 classes. All of deep's working set
-    (2,165 classes after 2,100 ops, and growing with k) missed 0.2% at 4096,
-    but at about 340 B a class it raised deep's peak memory by about 1 MB."""
+    settled legs (_settled_cell) included; it is read on leg misses. The bound,
+    about 340 B a class, was sized when deep chains built a leg at every level.
+    With the settled run folded, the first 1,500 seed-1 certify-deep ops call
+    it 13,087 times and miss 2,148 (16%; before, 145,208 of 864,980), and the
+    first 2,000 certify-wide ops miss 406 of 1,820 calls."""
     if k > 1:
         ends = _case_table(n, m, k)[1]
         (p, q), (r, s) = ends[0], ends[-1]
@@ -581,11 +634,14 @@ def _shifted_leg(leg: TraceEntry, eps: Mapping[BoundaryKey, Fraction], unused: s
 # every stratum, level, c, weight vector and perturbed run that reaches their
 # grid. An entry holds the leg alone, about 378 B by tracemalloc (CPython
 # 3.11), as it shares its _leg_class's c, a and b; 3072 hold one certify-wide
-# certificate's grids up to n = 64 ((64, 4, 5) has 2962). A deep chain needs
-# more than fit, and a larger memo costs memory and tail latency, so a miss
-# is kept cheap instead: a settled leg is its cell's line at c, no scan. Ops
-# ask for legs in the same order, LRU's worst case once one needs more than
-# fit: a random victim keeps about 3072/need of them.
+# certificate's grids up to n = 64 ((64, 4, 5) has 2962). A folded settled
+# run leaves a deep certificate its levels below max(2, n) and the run's two
+# ends, 627 legs at (8, 8, k): the first 1,500 seed-1 certify-deep ops look up
+# 186,027 legs and miss 13,018 (before the fold, 2.0 M and 864,911). Larger
+# grids need more than fit, and a larger memo costs memory and tail latency,
+# so a miss is kept cheap instead: a settled leg is its cell's line at c, no
+# scan. Ops ask for legs in the same order, LRU's worst case once one needs
+# more than fit: a random victim keeps about 3072/need of them.
 _LEG_CACHE_SIZE = 3072
 _MemoInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -621,7 +677,6 @@ def _random_eviction_memo(fn, maxsize: int):
 
 
 _cached_stratum_leg = _random_eviction_memo(_stratum_leg, _LEG_CACHE_SIZE)
-_cached_weights = lru_cache(maxsize=_LEG_CACHE_SIZE)(make_weights)  # level-1 strata
 
 _TRANSPORT_CACHE_SIZE = 4096  # root shapes (n, m), about 240 B each
 
@@ -656,12 +711,12 @@ def _check_transport(n: int, m: int, k: int) -> None:
         passed[0] = level
 
 
-# All process-wide state: the five memos and where the last f_values call left
+# All process-wide state: the four memos and where the last f_values call left
 # its sweep. No certificate depends on it; tests and tools that need a fresh
 # process's state call _clear_state, and a memo added later joins this table.
 _STATE = {"_cached_stratum_leg": _cached_stratum_leg, "_leg_class": _leg_class,
-          "_cached_weights": _cached_weights, "_transport_levels": _transport_levels,
-          "_settled_cell": _settled_cell, "_last_sweep": _last_sweep}
+          "_transport_levels": _transport_levels, "_settled_cell": _settled_cell,
+          "_last_sweep": _last_sweep}
 
 
 def _clear_state() -> None:
@@ -708,10 +763,63 @@ def _level_verdict(level: int, endpoint_strict: bool, least: Fraction | None,
     return STRICTLY_POSITIVE, ()
 
 
+def _level1_c(k: int, c: Fraction) -> Fraction | None:
+    """The c of a chain's level-1 legs as the leg memo keys it: below the top a
+    level is reached at the upper endpoint of the level above, its own lower
+    endpoint for level >= 2 and 3/4 at level 1, the only level whose legs
+    depend on c; the memo keys c = 3/4 as None."""
+    return c if k == 1 and c != _LEVEL1_C else None
+
+
+def _chain(n: int, m: int, levels):
+    """(level, reachable_strata(n, m, level)) for each of levels, in order; from
+    level max(n, 1) up the closed form gives one list whatever the level, built
+    once: the one reader of a chain's strata."""
+    above = None
+    for level in levels:
+        if level <= max(n, 1):
+            yield level, reachable_strata(n, m, level)
+        else:
+            above = above or reachable_strata(n, m, level)
+            yield level, above
+
+
+def _level_legs(n: int, m: int, level: int, shapes, leg_c: Fraction | None,
+                eps: Mapping[BoundaryKey, Fraction] | None, unused: set) -> list[TraceEntry]:
+    """The legs of one level of (n, m)'s chain, one per stratum of shapes, with
+    eps; the eps keys that label cells of their grids leave unused. Level 1 puts
+    its legs at leg_c (_level1_c) on the regrouped grids (_grid_shape), which
+    strata share; a level >= 2 puts each stratum's base leg at c0 on the
+    stratum's own grid. Strata that share a leg share its shift. _certify
+    builds its levels with it, and Certificate.trace rebuilds them."""
+    if level == 1:
+        legs = [_cached_stratum_leg(*_grid_shape(n1, m1, 1), 1, leg_c) for n1, m1 in shapes]
+    else:
+        legs = [_cached_stratum_leg(n1, m1, level, None) for n1, m1 in shapes]
+    if not eps:
+        return legs
+    moved = {id(leg): leg for leg in legs}
+    moved = {key: _shifted_leg(leg, eps, unused) for key, leg in moved.items()}
+    return [moved[id(leg)] for leg in legs]
+
+
+def _first_least(legs) -> DropEvaluation | None:
+    """The first least minimum of legs, compared in integers: a Fraction <
+    first checks numbers.Rational."""
+    best = None
+    for leg in legs:
+        low = leg.minimum
+        if low is not None and (best is None or low.value.numerator * least_den
+                                < least_num * low.value.denominator):
+            best, least_num, least_den = low, low.value.numerator, low.value.denominator
+    return best
+
+
 def _certify(n: int, m: int, k: int, c: Fraction,
              eps: Mapping[BoundaryKey, Fraction] | None) -> Certificate:
     """The interval certification, one weight level at a time from 1 up to
-    k, each level folded as it is built.
+    k, each level folded as it is built, and an eps-free settled run folded
+    from its two end levels.
 
     Level 1 is the ground, certified by per-stratum drop minimization: strata
     with several weight-one sections go through the regrouped grid
@@ -728,15 +836,27 @@ def _certify(n: int, m: int, k: int, c: Fraction,
     and one base leg per boundary stratum at c0 (_stratum_leg). At
     c = (k+1)/(2k) no drop table of the top level is evaluated.
 
-    Each level is built by its kind, in one branch: level 1's legs on the
-    regrouped grids (_grid_shape), with its strata kept beside them, the only
-    strata stored; a level >= 2's legs on its strata's own shapes, whose grids
-    are the strata. A level's legs enter its verdict only through their first
-    least drop, which joins the witness (its value the margin; the higher
-    level wins a tie, as it comes first in the trace). The trace lists the
-    levels from k down; strata_checked lists the legs' grids from k down to
-    2, then level 1's strata. (a, b) come from the root's leg, the top
-    level's last (reachable_strata lists (n, m) last).
+    Each level's legs come from _level_legs and enter its verdict only
+    through their first least drop, which joins the witness (its value the
+    margin; the higher level wins a tie). (a, b) come from the root's leg,
+    the top level's last (reachable_strata lists (n, m) last). Legs, strata
+    and trace are not kept: the certificate derives them when read.
+
+    The settled run is the levels max(2, n) up to the top. There every level
+    has the same strata, all with m1 >= 2, so no zero strata; each
+    stratum's admissible cells do not depend on the level; and each cell's
+    drop is affine in the level's c0 = (2l + 3)/(4(l + 1)), which falls as l
+    rises. A level's least drop is then a minimum of lines in c0, concave,
+    and its least over the run sits at an end level. So when both end
+    levels' least drops are positive (or both absent), every level of the
+    run has a positive least drop and the verdict of the level below it:
+    strictly positive from a strict endpoint, else inconclusive. Its
+    witness is the top end's first least when it is <= the low end's (the
+    higher level wins a tie), else the low end's. The run is then those two
+    levels, with none built in between. Otherwise, and in a perturbed run,
+    the run is walked level by level like the levels below it. Cold, an
+    (8,8,k) certificate looks up 627 legs at every k >= 9 this way, against
+    62,069 at k = 1000 level by level.
     """
     weights = make_weights(n, m, k)
     lo, hi = ample_interval(k)
@@ -749,60 +869,44 @@ def _certify(n: int, m: int, k: int, c: Fraction,
 
     if k > 1:  # every level's upper endpoint transports, checked once per certification
         _check_transport(n, m, k)
-    legs_by_level = []  # level 1 first
+    top = k - 1 if c == hi else k
+    settled = max(2, n) if not eps and max(2, n) < top else None  # the run's low end
     unused = set(eps or ())
     witness, endpoint_strict = None, True  # level 1 is the ground
-    # below the top, a level is reached at the upper endpoint of the level
-    # above: its own lower endpoint for level >= 2, and 3/4 at level 1, the
-    # only level whose legs depend on c; the memo keys c = 3/4 as None
-    leg_c = c if k == 1 and c != _LEVEL1_C else None
-
-    def shifted(legs):  # a level's eps-free legs with eps; strata that share a leg share its shift
-        if not eps:
-            return legs
-        moved = {id(leg): leg for leg in legs}
-        moved = {key: _shifted_leg(leg, eps, unused) for key, leg in moved.items()}
-        return [moved[id(leg)] for leg in legs]
-
-    for level in range(1, k + 1):
+    leg_c = _level1_c(k, c)
+    for level, shapes in _chain(n, m, range(1, top + 1)):
         if level > 1:
             endpoint_strict = _transports(verdict, zeros, witness, level)
-            if level == k and c == hi:
-                break
-        # from level n up reachable_strata's closed form gives one list whatever the level
-        shapes = reachable_strata(n, m, level) if level <= max(n, 1) else shapes
-        if level == 1:  # the ground: strata of one regrouped grid share its leg
-            legs = shifted([_cached_stratum_leg(*_grid_shape(n1, m1, 1), 1, leg_c)
-                            for n1, m1 in shapes])
-            # (n1, 1) regroups to itself: only m1 >= 2 strata differ from their grid
-            ground = [_cached_weights(n1, m1, 1) if m1 >= 2 else leg.grid
-                      for (n1, m1), leg in zip(shapes, legs)]
-            zeros = [stratum for stratum, leg in zip(ground, legs)
+        legs = _level_legs(n, m, level, shapes, leg_c, eps, unused)
+        best = _first_least(legs)
+        if level == 1:  # the zero strata are the zero-drop legs' strata
+            zeros = [make_weights(n1, m1, 1) for (n1, m1), leg in zip(shapes, legs)
                      if leg.minimum is not None and leg.minimum.value == 0]
-        else:  # each stratum's base leg at c0, on its own grid: the strata are the grids
-            legs = shifted([_cached_stratum_leg(n1, m1, level, None) for n1, m1 in shapes])
+        else:
             # at the lower endpoint a base value equal to c leaves no convex room:
             # genuine zero curves. Cases 3 and 4 (m >= 2) put c0 strictly inside
             # (1/2, cap), so only point cases, settled legs never among them, meet the cap
             zeros = [leg.grid for leg in legs if leg.grid.m < 2 and not _below_cap(leg.c, level)
                      ] if level < k or c == lo else []
-        best = None  # least drops compared in integers: a Fraction < first checks numbers.Rational
-        for leg in legs:
-            low = leg.minimum
-            if low is not None and (best is None or low.value.numerator * least_den
-                                    < least_num * low.value.denominator):
-                best, least_num, least_den = low, low.value.numerator, low.value.denominator
-        legs_by_level.append(legs)
+        if level == settled and (best is None or best.value > 0):
+            top_legs = _level_legs(n, m, top, shapes, leg_c, None, unused)
+            top_best = _first_least(top_legs)
+            if top_best is None or top_best.value > 0:  # the run folds to its end levels
+                level, legs = top, top_legs
+                best = top_best if top_best is None or top_best.value <= best.value else best
         verdict, notes = _level_verdict(
             level, endpoint_strict, best.value if best is not None else None, zeros)
         if best is not None and (witness is None or best.value <= witness.value):
             witness = best
+        if level == top:  # the last level, or a folded run
+            break
     if unused:
         raise InvalidBoundaryKey(
             f"({min(unused).label()}) is the canonical key of no admissible cell in "
             f"any grid visited from ({weights.label()})")
 
     if c == hi:
+        endpoint_strict = _transports(verdict, zeros, witness, k)
         verdict = STRICTLY_POSITIVE if endpoint_strict else INCONCLUSIVE
         zero_strata = ()
         notes = (f"transported to k = {k - 1} with vanishing exceptional coefficient",)
@@ -811,9 +915,5 @@ def _certify(n: int, m: int, k: int, c: Fraction,
         a = b = None
     else:  # from the root's leg, the top level's last
         zero_strata, a, b = tuple(zeros), legs[-1].a, legs[-1].b
-    trace = tuple(chain.from_iterable(reversed(legs_by_level)))
-    # the legs' grids from level k down to 2, then the ground's strata
-    strata = (*(leg.grid for leg in trace[:len(trace) - len(ground)]), *ground)
-    return Certificate(verdict, weights, c, a, b, witness,
-                       witness.value if witness is not None else None, strata,
-                       zero_strata=zero_strata, notes=notes, trace=trace)
+    return Certificate(verdict, weights, c, a, b, witness, zero_strata=zero_strata,
+                       notes=notes, _eps=eps or None)

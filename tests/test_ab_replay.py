@@ -1,5 +1,6 @@
 """tools/ab_replay.py: two trees that agree replay to the end and print each
-side's op times by class; a tree whose results differ stops the replay."""
+side's op times by class, alone and with the benchmark's output check; a
+tree whose results differ stops the replay."""
 
 import shutil
 import subprocess
@@ -23,6 +24,11 @@ def test_equal_trees_replay_every_op():
     assert lines[0] == "certify-wide seed 1: 25 ops, every repr equal"
     classes = {line.split()[0] for line in lines[2:]}
     assert {"cold", "eps", "repeat", "total", "p50", "11th"} <= classes
+    # each figure per side, for the op alone and for the op with the output check
+    assert lines[1].split() == ["A", "B", "A+check", "B+check"]
+    total = next(line.split() for line in lines if line.split()[0] == "total")
+    alone_a, alone_b, checked_a, checked_b = map(float, total[1::2])
+    assert checked_a > alone_a and checked_b > alone_b
 
 
 def test_a_differing_result_stops_the_replay(tmp_path):

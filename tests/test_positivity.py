@@ -527,6 +527,8 @@ class TestLegMemo:
         positivity._clear_state()
         before = {(n, m, k, c): nc.certify_interval(n, m, k, c)
                   for n, m, k in self.VECTORS for c in self._cs(k)}
+        for cert in before.values():
+            cert.trace  # rebuilds every eps-free leg through the memo, the folded ones too
         info = positivity._cached_stratum_leg.cache_info()
         for n, m, k in self.VECTORS:
             base = before[(n, m, k, _interior(k))]
@@ -599,7 +601,7 @@ class TestLegMemo:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            nc.certify_interval(8, 8, 60, _interior(60))  # about 3700 distinct legs
+            nc.certify_interval(8, 8, 60, _interior(60)).trace  # about 3700 distinct legs
             gc.collect()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
@@ -721,13 +723,13 @@ def _unregistered_memos():
 
 
 class TestProcessState:
-    """positivity._STATE holds all process-wide state: five memos and the last
+    """positivity._STATE holds all process-wide state: four memos and the last
     f_values sweep. _clear_state empties it; _state_info reads it."""
 
     def test_every_piece_is_bounded(self):
         assert {name: info.maxsize for name, info in positivity._state_info().items()} == {
-            "_cached_stratum_leg": 3072, "_leg_class": 1024, "_cached_weights": 3072,
-            "_transport_levels": 4096, "_settled_cell": 256, "_last_sweep": 1}
+            "_cached_stratum_leg": 3072, "_leg_class": 1024, "_transport_levels": 4096,
+            "_settled_cell": 256, "_last_sweep": 1}
 
     def test_every_memo_is_registered(self, monkeypatch):
         assert _unregistered_memos() == []
@@ -743,7 +745,7 @@ class TestProcessState:
         assert all(info.currsize for info in positivity._state_info().values())
         positivity._clear_state()
         info = positivity._state_info()
-        assert list(info) == list(positivity._STATE) and len(info) == 6
+        assert list(info) == list(positivity._STATE) and len(info) == 5
         assert {piece.currsize for piece in info.values()} == {0}
         assert {(piece.hits, piece.misses) for name, piece in info.items()
                 if name != "_last_sweep"} == {(0, 0)}
@@ -763,17 +765,17 @@ class TestProcessState:
         assert missed(used) == missed(positivity._random_eviction_memo(str, 4))
 
 
-def negative_leg(monkeypatch, shape):
-    """Serve the eps-free leg of grid shape (n, m, k) with its least drop set
-    to -1; the memo itself keeps the true leg."""
+def lowered_legs(monkeypatch, *shapes, value=F(-1)):
+    """Serve the eps-free leg of each grid shape (n, m, k) of shapes with its
+    least drop set to value; the memo itself keeps the true legs."""
     memo = positivity._cached_stratum_leg
 
     def patched(n, m, k, c):
         leg = memo(n, m, k, c)
-        if (n, m, k) != shape:
+        if (n, m, k) not in shapes:
             return leg
         low = leg.minimum
-        return dataclasses.replace(leg, minimum=positivity.DropEvaluation(low.r1, low.r2, F(-1)))
+        return dataclasses.replace(leg, minimum=positivity.DropEvaluation(low.r1, low.r2, value))
 
     monkeypatch.setattr(positivity, "_cached_stratum_leg", patched)
 
@@ -796,12 +798,22 @@ class TestInconclusiveFold:
         (7, 0, 2, F(3, 4), (7, 0, 1),
          ("transported to k = 1 with vanishing exceptional coefficient",
           "lower-level certificate does not confine zeros to collapsed curves")),
+        # the settled run of (3, 3, 12), levels 3..12: a negative end level is
+        # not folded, and the run is walked level by level
+        (3, 3, 12, F(337, 624), (3, 3, 3),
+         ("upper-endpoint certificate failed; no convex combination available",)),
+        (3, 3, 12, F(337, 624), (3, 3, 12),
+         ("a stratum base certificate has a negative drop",)),
+        (3, 3, 12, F(13, 24), (3, 3, 11),
+         ("transported to k = 11 with vanishing exceptional coefficient",
+          "lower-level certificate does not confine zeros to collapsed curves")),
     ], ids=["level-1", "level-1-regrouped", "base-level", "base-level-k-4",
-            "interior-above-level-1", "upper-endpoint"])
+            "interior-above-level-1", "upper-endpoint", "settled-run-low-end",
+            "settled-run-top-end", "settled-run-top-end-upper-endpoint"])
     def test_one_negative_leg(self, monkeypatch, n, m, k, c, shape, notes):
         honest = nc.certify_interval(n, m, k, c)
         assert honest.verdict == STRICTLY_POSITIVE
-        negative_leg(monkeypatch, shape)
+        lowered_legs(monkeypatch, shape)
         cert = nc.certify_interval(n, m, k, c)
         assert (cert.verdict, cert.notes, cert.margin) == (INCONCLUSIVE, notes, F(-1))
         assert cert.zero_strata == ()
@@ -818,6 +830,109 @@ class TestLongChains:
         assert cert.verdict == STRICTLY_POSITIVE
         assert cert.margin > 0
         assert {w.k for w in cert.strata_checked} == set(range(1, 601))
+
+
+def _refolded(cert):
+    """cert's stored fields as the per-level fold gives them from its own trace,
+    every level of the settled run included: the first least within a level,
+    the higher level on a tie across levels, each level's verdict from its
+    least drop, its zero strata and the level below (_transports,
+    _level_verdict); a zero leg at level 1 puts its stratum among the zero
+    strata. Only the stored fields are compared, as the derived ones are read
+    off the same weights, c and eps."""
+    n, m, k = cert.weights.n, cert.weights.m, cert.weights.k
+    lo, hi = nc.ample_interval(k)
+    levels = [list(legs) for _, legs in itertools.groupby(cert.trace, lambda leg: leg.grid.k)]
+    witness, strict = None, True
+    for level, legs in enumerate(reversed(levels), 1):
+        if level > 1:
+            strict = positivity._transports(verdict, zeros, witness, level)
+        best = None
+        for leg in legs:
+            low = leg.minimum  # in integers: Fraction comparisons dominate otherwise
+            if low is not None and (best is None or low.value.numerator * best.value.denominator
+                                    < best.value.numerator * low.value.denominator):
+                best = low
+        if level == 1:
+            zeros = [nc.make_weights(a, b, 1) for (a, b), leg in zip(
+                nc.reachable_strata(n, m, 1), legs) if leg.minimum and leg.minimum.value == 0]
+        else:
+            zeros = [leg.grid for leg in legs if leg.grid.m < 2 and not positivity._below_cap(
+                leg.c, level)] if level < k or cert.c == lo else []
+        verdict, notes = positivity._level_verdict(
+            level, strict, best.value if best else None, zeros)
+        if best is not None and (witness is None or best.value <= witness.value):
+            witness = best
+    a = b = None
+    if cert.c == hi:
+        strict = positivity._transports(verdict, zeros, witness, k)
+        verdict, zeros = STRICTLY_POSITIVE if strict else INCONCLUSIVE, []
+        notes = (f"transported to k = {k - 1} with vanishing exceptional coefficient",) + (
+            () if strict else ("lower-level certificate does not confine zeros to collapsed "
+                               "curves",))
+    else:
+        a, b = levels[0][-1].a, levels[0][-1].b
+    return dataclasses.replace(cert, verdict=verdict, a=a, b=b, witness=witness,
+                               zero_strata=tuple(zeros), notes=notes)
+
+
+class TestSettledRunFold:
+    """An eps-free certificate folds its settled run, the levels max(2, n) up
+    to the top, from the run's two end levels. The fold must give what every
+    level of the run gives, folded one by one."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_the_run_folds_as_every_level_does(self, n):
+        for m in range(9):
+            for k in range(2, 31):  # a k = 1 chain has no run
+                if not nc.divisors.nonempty_moduli(n, m, k):
+                    continue
+                lo, hi = nc.ample_interval(k)
+                for c in (lo, (lo + hi) / 2, hi):
+                    cert = nc.certify_interval(n, m, k, c)
+                    assert repr(_refolded(cert)._stored()) == repr(cert._stored()), (n, m, k, c)
+
+    @pytest.mark.parametrize("shapes, value, level", [
+        # a low end below the top end: the run's witness is the low end's
+        (((3, 3, 3),), F(1, 10 ** 6), 3),
+        # a negative level inside the run: walked, the top end's note is that
+        # its upper endpoint failed, not that its own drop is negative
+        (((3, 3, 11), (3, 3, 12)), F(-1), 12),
+        # a run entered from an inconclusive level: folded, inconclusive throughout
+        (((5, 1, 1),), F(-1), 1),
+    ], ids=["low-end-witness", "negative-inside", "inconclusive-below"])
+    def test_lowered_legs_fold_as_every_level_does(self, monkeypatch, shapes, value, level):
+        lowered_legs(monkeypatch, *shapes, value=value)
+        cert = nc.certify_interval(3, 3, 12, F(337, 624))
+        assert repr(_refolded(cert)._stored()) == repr(cert._stored())
+        assert cert.margin == value
+        assert next(leg.grid.k for leg in cert.trace if leg.minimum == cert.witness) == level
+
+    def test_a_deep_chain_looks_up_as_many_legs_at_any_k(self):
+        lookups = []
+        for k in (100, 1000):
+            positivity._clear_state()
+            nc.certify_interval(8, 8, k, _interior(k))
+            info = positivity._state_info()["_cached_stratum_leg"]
+            lookups.append(info.hits + info.misses)
+        # levels 1..7 and the run's two ends, against 6,269 legs level by level at k = 100
+        assert lookups[0] == lookups[1] < 1000, lookups
+
+    def test_a_held_deep_certificate_keeps_no_legs_or_strata(self):
+        c = _interior(1000)
+        nc.certify_interval(8, 8, 1000, c)  # the memos hold what the second run reads
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cert = nc.certify_interval(8, 8, 1000, c)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cert.verdict == STRICTLY_POSITIVE
+        assert held < 50 * 1024, held  # its 62,069 legs and strata are derived when read
+        assert len(cert.trace) == len(cert.strata_checked) == 62069
 
 
 class TestOracles:
@@ -1393,16 +1508,19 @@ class TestLegPaths:
     @pytest.mark.parametrize("n, m, k", [(8, 8, 60), (1, 6, 120), (7, 7, 40), (3, 2, 90)])
     def test_cold_warm_and_evicted_legs_are_the_full_scan(self, monkeypatch, n, m, k):
         c = _interior(k)
+        # a trace is rebuilt through the leg memo when read, so each repr is
+        # taken while the memo is in the state named
         positivity._clear_state()
         cold = nc.certify_interval(n, m, k, c)
+        cold_repr = repr(cold)
         hits = positivity._cached_stratum_leg.cache_info().hits
-        warm = nc.certify_interval(n, m, k, c)
+        warm_repr = repr(nc.certify_interval(n, m, k, c))
         assert positivity._cached_stratum_leg.cache_info().hits > hits
         small = positivity._random_eviction_memo(positivity._stratum_leg, 4)
         monkeypatch.setattr(positivity, "_cached_stratum_leg", small)
-        evicted = nc.certify_interval(n, m, k, c)
+        evicted_repr = repr(nc.certify_interval(n, m, k, c))
         assert small.cache_info().misses > 100  # every miss past the fourth evicts a leg
-        assert repr(cold) == repr(warm) == repr(evicted)
+        assert cold_repr == warm_repr == evicted_repr
         settled = 0
         for leg in cold.trace:
             grid = leg.grid  # level 1 of a chain from k >= 2 is at c = 3/4 (None)

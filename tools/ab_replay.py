@@ -12,7 +12,11 @@ alike. Every op's two results must have the same repr, trace included; the
 first difference stops the replay with exit code 1.
 
 Prints, per side, the op time of each op class, the median op and the
-11th-largest op (the benchmark's op_tail_ms). certify ops fall in three
+11th-largest op (the benchmark's op_tail_ms), each beside the same figure
+for the op followed by the benchmark's output check (`workloads.check_op`,
+which reads every certificate field `certify --json` prints and is not op
+time in a benchmark run): work that a change moves from an op into a field
+derived when read shows in the second. certify ops fall in three
 classes: eps (a perturbed run), cold (the first op of its weight vector) and
 repeat; other ops are classed by their kind. The cli workload, whose ops are
 subprocesses of one checkout, is not supported.
@@ -73,34 +77,42 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     trees = [load_tree(args.src_a, "nefcert_a"), load_tree(args.src_b, "nefcert_b")]
-    times = [defaultdict(float), defaultdict(float)]  # per side: class -> seconds
+    # per side, op alone then op and check: class -> seconds, and op latencies
+    times = [defaultdict(float) for _ in range(4)]
     counts: dict[str, int] = defaultdict(int)
-    latencies: list[list[float]] = [[], []]
+    latencies: list[list[float]] = [[], [], [], []]
     seen: set = set()
     for index, op in enumerate(workloads.build_ops(args.workload, args.seed, args.ops)):
         kind = op_class(op, seen)
         counts[kind] += 1
-        results = [None, None]
-        for side in ((0, 1) if index % 2 == 0 else (1, 0)):
+        results, elapsed = [None, None], [0.0, 0.0]
+        order = (0, 1) if index % 2 == 0 else (1, 0)
+        for side in order:
             start = time.perf_counter()
             results[side] = workloads.run_op(trees[side], op, None)
-            elapsed = time.perf_counter() - start
-            times[side][kind] += elapsed
-            latencies[side].append(elapsed * 1000)
+            elapsed[side] = time.perf_counter() - start
         if repr(results[0]) != repr(results[1]):
             print(f"op {index} differs: {op}", file=sys.stderr)
             return 1
+        for side in order:
+            start = time.perf_counter()
+            workloads.check_op(op, results[side])
+            checked = elapsed[side] + time.perf_counter() - start
+            for column, seconds in ((side, elapsed[side]), (side + 2, checked)):
+                times[column][kind] += seconds
+                latencies[column].append(seconds * 1000)
 
     print(f"{args.workload} seed {args.seed}: {index + 1} ops, every repr equal")
-    print(f"{'':12}" + "".join(f"{side:>14}" for side in ("A", "B")))
+    columns = range(4)
+    print(f"{'':12}" + "".join(f"{name:>14}" for name in ("A", "B", "A+check", "B+check")))
     for kind in sorted(counts):
         print(f"{kind:>6} {counts[kind]:>5}" + "".join(
-            f"{times[side][kind]:>12.3f} s" for side in (0, 1)))
-    print(f"{'total':>12}" + "".join(f"{sum(times[side].values()):>12.3f} s"
-                                     for side in (0, 1)))
-    print(f"{'p50':>12}" + "".join(f"{statistics.median(latencies[side]):>11.2f} ms"
-                                   for side in (0, 1)))
-    tail = [sorted(side)[max(len(side) - 11, 0)] for side in latencies]
+            f"{times[column][kind]:>12.3f} s" for column in columns))
+    print(f"{'total':>12}" + "".join(f"{sum(times[column].values()):>12.3f} s"
+                                     for column in columns))
+    print(f"{'p50':>12}" + "".join(f"{statistics.median(latencies[column]):>11.2f} ms"
+                                   for column in columns))
+    tail = [sorted(column)[max(len(column) - 11, 0)] for column in latencies]
     print(f"{'11th op':>12}" + "".join(f"{value:>11.2f} ms" for value in tail))
     return 0
 

@@ -93,9 +93,10 @@ class Certificate:
     at the upper endpoint) down to 1, without building a leg. trace lists
     the legs beside them, rebuilt through the leg memo with eps applied
     (_level_legs): reading .trace of a large-k certificate rebuilds every
-    leg of its chain, 62,069 legs at (8, 8, 1000). repr prints the fields in
-    the order above, the derived ones included; == compares the stored
-    fields, and the derived ones only when the eps differ.
+    leg of its chain, 62,069 legs at (8, 8, 1000). repr prints verdict,
+    weights, c, a, b, witness, margin, strata_checked, zero_strata, trace and
+    notes, in that order; == compares the stored fields, and the derived ones
+    only when the eps differ (the same weights, c and eps derive the same).
     """
 
     verdict: str
@@ -116,7 +117,8 @@ class Certificate:
     def _levels(self):
         """(level, shapes) of the certified chain from its top level down to 1."""
         n, m, k = self.weights.n, self.weights.m, self.weights.k
-        return _chain(n, m, range(k - 1 if k > 1 and self.c == ample_interval(k)[1] else k, 0, -1))
+        top = k - 1 if self.c == ample_interval(k)[1] else k  # no top level at the upper end
+        return _chain(n, m, range(top, 0, -1))
 
     @property
     def strata_checked(self) -> tuple[WeightVector, ...]:
@@ -435,7 +437,7 @@ def certify_generic(n: int, m: int, k: int, c, *,
     c = exact(c)
     labels = canonical_eps(weights, eps) if eps else None
     a, b = ab_substitution(n, m, k, c)
-    low = _leg(weights, c, a, b, labels.items() if labels else ()).minimum
+    low = _leg(weights, c, a, b, (labels or {}).items()).minimum
     drop = low.value if low is not None else 0  # no admissible cell: every family is step-free
     verdict = STRICTLY_POSITIVE if drop > 0 else ZERO_CHARACTERIZED if drop == 0 else INCONCLUSIVE
     notes = ("no admissible blow-down counts: every generically smooth family is step-free "

@@ -9,7 +9,10 @@ name, so both live in one process with their own memos. The first N ops of
 5000 ops) run through both trees: op i runs on A first when i is even and on
 B first when it is odd, so a drift of the host's speed falls on both sides
 alike. Every op's two results must have the same repr, trace included; the
-first difference stops the replay with exit code 1.
+first difference stops the replay with exit code 1. A tree whose certificates
+derive their trace when read rebuilds its legs for that repr, through its own
+leg memo, between ops: it can evict legs the next op reads, so that side's op
+time reads high against a benchmark run, which takes no repr.
 
 Prints, per side, the op time of each op class, the median op and the
 11th-largest op (the benchmark's op_tail_ms), each beside the same figure

@@ -538,11 +538,14 @@ def _leg_class(n: int, m: int, k: int, c: Fraction | None) -> tuple[Fraction, Fr
     c0_lower's base value, the mean of _case_table's two ends of c (a point is
     both) in integers; at k = 1 the given c (3/4 when None), with (a, b) at c
     capped at 1 on m = 1 grids (see _certify). The memo lets legs share them,
-    settled legs (_settled_cell) included; it is read on leg misses. The bound,
-    about 340 B a class, was sized when deep chains built a leg at every level.
-    With the settled run folded, the first 1,500 seed-1 certify-deep ops call
-    it 13,087 times and miss 2,148 (16%; before, 145,208 of 864,980), and the
-    first 2,000 certify-wide ops miss 406 of 1,820 calls."""
+    settled legs (_settled_cell) included; it is read on leg misses and once
+    per certification, for the root's (a, b). The bound, about 340 B a class,
+    was sized when deep chains built a leg at every level. Now that a deep
+    certificate builds no leg once its root shape is certified, the first
+    1,500 seed-1 certify-deep ops call it 2,063 times and miss 1,049, nearly
+    all of them the root's class at the op's own top level, read once
+    (before the settled run was folded, 145,208 misses of 864,980 calls); the
+    first 2,000 certify-wide ops miss 406 of 3,456 calls."""
     if k > 1:
         ends = _case_table(n, m, k)[1]
         (p, q), (r, s) = ends[0], ends[-1]
@@ -636,11 +639,13 @@ def _shifted_leg(leg: TraceEntry, eps: Mapping[BoundaryKey, Fraction], unused: s
 # every stratum, level, c, weight vector and perturbed run that reaches their
 # grid. An entry holds the leg alone, about 378 B by tracemalloc (CPython
 # 3.11), as it shares its _leg_class's c, a and b; 3072 hold one certify-wide
-# certificate's grids up to n = 64 ((64, 4, 5) has 2962). A folded settled
-# run leaves a deep certificate its levels below max(2, n) and the run's two
-# ends, 627 legs at (8, 8, k): the first 1,500 seed-1 certify-deep ops look up
-# 186,027 legs and miss 13,018 (before the fold, 2.0 M and 864,911). Larger
-# grids need more than fit, and a larger memo costs memory and tail latency,
+# certificate's grids up to n = 64 ((64, 4, 5) has 2962). A deep certificate
+# builds its levels up to its settled run's low end once per root shape (the
+# root record keeps them, _root_record) and reads the run's top end off its
+# settled lines, so the first 1,500 seed-1 certify-deep ops look up 1,949 legs
+# and miss 494 (with those levels and the top end's legs built by every op,
+# 186,027 and 13,018; level by level, 2.0 M and 864,911). Larger grids need
+# more than fit, and a larger memo costs memory and tail latency,
 # so a miss is kept cheap instead: a settled leg is its cell's line at c, no
 # scan. Ops ask for legs in the same order, LRU's worst case once one needs
 # more than fit: a random victim keeps about 3072/need of them.
@@ -680,14 +685,27 @@ def _random_eviction_memo(fn, maxsize: int):
 
 _cached_stratum_leg = _random_eviction_memo(_stratum_leg, _LEG_CACHE_SIZE)
 
-_TRANSPORT_CACHE_SIZE = 4096  # root shapes (n, m), about 240 B each
+_ROOT_CACHE_SIZE = 4096  # root shapes (n, m)
 
 
-@lru_cache(maxsize=_TRANSPORT_CACHE_SIZE)
-def _transport_levels(n: int, m: int) -> list[int]:
-    """[the highest level up to which every transport check of the root shape
-    (n, m) passed], which _check_transport raises as the checks pass."""
-    return [1]
+@dataclass(slots=True)
+class _RootRecord:
+    """What the certifications of one root shape (n, m) leave to the next.
+    checked is the highest level up to which every transport check passed,
+    which _check_transport raises as the checks pass. below_run is set by the
+    first eps-free certification that reaches its settled run's low end
+    max(2, n), and holds what the level loop holds there: that level's
+    upper-endpoint flag and first least drop, and the witness of the levels
+    below it. None of them depends on k or c (see _certify)."""
+
+    checked: int = 1
+    below_run: tuple[bool, DropEvaluation | None, DropEvaluation | None] | None = None
+
+
+@lru_cache(maxsize=_ROOT_CACHE_SIZE)
+def _root_record(n: int, m: int) -> _RootRecord:
+    """The record of the root shape (n, m), empty until a certification fills it."""
+    return _RootRecord()
 
 
 def _transport_pair(n: int, m: int, k: int):
@@ -705,19 +723,20 @@ def _check_transport(n: int, m: int, k: int) -> None:
     """Check the transport identity (_transport_pair) at every level 2..k of
     the root shape (n, m). Each level of a root shape is checked once, from 2
     up, so one level per shape records every passed check (a deep chain's
-    root has hundreds); a failure raises every time."""
-    for level in range((passed := _transport_levels(n, m))[0] + 1, k + 1):
+    root has hundreds, _RootRecord.checked); a failure raises every time."""
+    record = _root_record(n, m)
+    for level in range(record.checked + 1, k + 1):
         pulled, lower = _transport_pair(n, m, level)
         if pulled != lower:
             raise NefcertError("internal: endpoint transport identity failed")
-        passed[0] = level
+        record.checked = level
 
 
 # All process-wide state: the four memos and where the last f_values call left
 # its sweep. No certificate depends on it; tests and tools that need a fresh
 # process's state call _clear_state, and a memo added later joins this table.
 _STATE = {"_cached_stratum_leg": _cached_stratum_leg, "_leg_class": _leg_class,
-          "_transport_levels": _transport_levels, "_settled_cell": _settled_cell,
+          "_root_record": _root_record, "_settled_cell": _settled_cell,
           "_last_sweep": _last_sweep}
 
 
@@ -817,6 +836,30 @@ def _first_least(legs) -> DropEvaluation | None:
     return best
 
 
+def _settled_least(shapes, level: int) -> DropEvaluation | None:
+    """_first_least of the eps-free legs of a settled level, one per stratum of
+    shapes, without a leg: each leg's minimum is its stratum's settled line
+    (_settled_cell) at the c0 = (2l + 3)/(4(l + 1)) that every leg of the
+    level shares (case 3, _leg_class), compared in integers as _first_least
+    compares. A stratum with no settled cell and no admissible cell has no
+    minimum; one with admissible cells reads its leg, which no settled run of
+    a root with n < 40 and m < 14 reaches."""
+    p, q = 2 * level + 3, 4 * (level + 1)
+    best = None
+    for n1, m1 in shapes:
+        if (cell := _settled_cell(n1, m1)) is not None:
+            r1, r2, base, slope, den = cell
+            num, den = base * q + slope * p, den * q
+        elif any(heavy_counts(n1, m1, level, i) for i in range(n1 + 1)):
+            low = _cached_stratum_leg(n1, m1, level, None).minimum
+            r1, r2, num, den = low.r1, low.r2, low.value.numerator, low.value.denominator
+        else:
+            continue
+        if best is None or num * least_den < least_num * den:
+            best, least_num, least_den = (r1, r2), num, den
+    return None if best is None else DropEvaluation(*best, Fraction(least_num, least_den))
+
+
 def _certify(n: int, m: int, k: int, c: Fraction,
              eps: Mapping[BoundaryKey, Fraction] | None) -> Certificate:
     """The interval certification, one weight level at a time from 1 up to
@@ -856,9 +899,19 @@ def _certify(n: int, m: int, k: int, c: Fraction,
     witness is the top end's first least when it is <= the low end's (the
     higher level wins a tie), else the low end's. The run is then those two
     levels, with none built in between. Otherwise, and in a perturbed run,
-    the run is walked level by level like the levels below it. Cold, an
-    (8,8,k) certificate looks up 627 legs at every k >= 9 this way, against
-    62,069 at k = 1000 level by level.
+    the run is walked level by level like the levels below it.
+
+    Neither end of a folded run needs a leg. What the loop holds at the low
+    end, max(2, n) (its upper endpoint's flag, its first least and the
+    witness below it), depends only on (n, m): for k >= 2 every level below
+    the top puts level 1's legs at 3/4 and computes its zero strata, a
+    level's strata and legs depend on (n, m, level) alone, and the low end
+    has no zero strata. The root record (_root_record) keeps it from the
+    root shape's first eps-free certification that reaches the run, and
+    later ones start there. The top end's first least is read off its
+    strata's settled lines (_settled_least). Cold, an (8,8,k) certificate
+    looks up 565 legs, levels 1..8, at every k >= 9; once (8, 8) is
+    certified it looks up none, against 62,069 at k = 1000 level by level.
     """
     weights = make_weights(n, m, k)
     lo, hi = ample_interval(k)
@@ -873,28 +926,35 @@ def _certify(n: int, m: int, k: int, c: Fraction,
         _check_transport(n, m, k)
     top = k - 1 if c == hi else k
     settled = max(2, n) if not eps and max(2, n) < top else None  # the run's low end
+    record = _root_record(n, m) if settled else None
+    below = record and record.below_run
     unused = set(eps or ())
     witness, endpoint_strict = None, True  # level 1 is the ground
     leg_c = _level1_c(k, c)
-    for level, shapes in _chain(n, m, range(1, top + 1)):
-        if level > 1:
-            endpoint_strict = _transports(verdict, zeros, witness, level)
-        legs = _level_legs(n, m, level, shapes, leg_c, eps, unused)
-        best = _first_least(legs)
-        if level == 1:  # the zero strata are the zero-drop legs' strata
-            zeros = [make_weights(n1, m1, 1) for (n1, m1), leg in zip(shapes, legs)
-                     if leg.minimum is not None and leg.minimum.value == 0]
+    for level, shapes in _chain(n, m, range(settled if below else 1, top + 1)):
+        if below and level == settled:  # the levels up to the run, as the record keeps them
+            (endpoint_strict, best, witness), zeros = below, []
         else:
-            # at the lower endpoint a base value equal to c leaves no convex room:
-            # genuine zero curves. Cases 3 and 4 (m >= 2) put c0 strictly inside
-            # (1/2, cap), so only point cases, settled legs never among them, meet the cap
-            zeros = [leg.grid for leg in legs if leg.grid.m < 2 and not _below_cap(leg.c, level)
-                     ] if level < k or c == lo else []
+            if level > 1:
+                endpoint_strict = _transports(verdict, zeros, witness, level)
+            legs = _level_legs(n, m, level, shapes, leg_c, eps, unused)
+            best = _first_least(legs)
+            if level == 1:  # the zero strata are the zero-drop legs' strata
+                zeros = [make_weights(n1, m1, 1) for (n1, m1), leg in zip(shapes, legs)
+                         if leg.minimum is not None and leg.minimum.value == 0]
+            else:
+                # at the lower endpoint a base value equal to c leaves no convex room:
+                # genuine zero curves. Cases 3 and 4 (m >= 2) put c0 strictly inside
+                # (1/2, cap), so only point cases, settled legs never among them, meet
+                # the cap
+                zeros = [leg.grid for leg in legs if leg.grid.m < 2
+                         and not _below_cap(leg.c, level)] if level < k or c == lo else []
+            if level == settled:
+                record.below_run = endpoint_strict, best, witness
         if level == settled and (best is None or best.value > 0):
-            top_legs = _level_legs(n, m, top, shapes, leg_c, None, unused)
-            top_best = _first_least(top_legs)
+            top_best = _settled_least(shapes, top)
             if top_best is None or top_best.value > 0:  # the run folds to its end levels
-                level, legs = top, top_legs
+                level = top
                 best = top_best if top_best is None or top_best.value <= best.value else best
         verdict, notes = _level_verdict(
             level, endpoint_strict, best.value if best is not None else None, zeros)
@@ -915,7 +975,8 @@ def _certify(n: int, m: int, k: int, c: Fraction,
         if not endpoint_strict:
             notes += ("lower-level certificate does not confine zeros to collapsed curves",)
         a = b = None
-    else:  # from the root's leg, the top level's last
-        zero_strata, a, b = tuple(zeros), legs[-1].a, legs[-1].b
+    else:  # the class of the root's leg, the top level's last (_stratum_leg)
+        gn, gm = _grid_shape(n, m, top)
+        zero_strata, (_, a, b) = tuple(zeros), _leg_class(gn, min(gm, 2), top, leg_c)
     return Certificate(verdict, weights, c, a, b, witness, zero_strata=zero_strata,
                        notes=notes, _eps=eps or None)

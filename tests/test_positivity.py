@@ -671,8 +671,8 @@ class TestTransportMemo:
             calls.clear()
             positivity._check_transport(9, 2, k)
             assert calls == checked, k
-        assert positivity._transport_levels(9, 2) == [6]
-        assert positivity._state_info()["_transport_levels"].currsize == 1
+        assert positivity._root_record(9, 2).checked == 6
+        assert positivity._state_info()["_root_record"].currsize == 1
         positivity._clear_state()  # a cleared or evicted record checks again from level 2
         calls.clear()
         positivity._check_transport(9, 2, 3)
@@ -698,7 +698,7 @@ class TestTransportMemo:
         nc.certify_interval(9, 2, 1, F(3, 4))
         nc.perturbed_certify(9, 2, 1, F(7, 8), {(1, 1): F(-1, 64)})
         assert calls == []
-        assert positivity._state_info()["_transport_levels"].currsize == 0
+        assert positivity._state_info()["_root_record"].currsize == 0
 
     def test_a_failed_identity_raises_every_time(self, monkeypatch):
         positivity._clear_state()
@@ -728,7 +728,7 @@ class TestProcessState:
 
     def test_every_piece_is_bounded(self):
         assert {name: info.maxsize for name, info in positivity._state_info().items()} == {
-            "_cached_stratum_leg": 3072, "_leg_class": 1024, "_transport_levels": 4096,
+            "_cached_stratum_leg": 3072, "_leg_class": 1024, "_root_record": 4096,
             "_settled_cell": 256, "_last_sweep": 1}
 
     def test_every_memo_is_registered(self, monkeypatch):
@@ -740,15 +740,22 @@ class TestProcessState:
         family = nc.family_from_json(
             (Path(__file__).with_name("families") / "chain.json").read_text())
         nc.certify_interval(9, 2, 4, _interior(4))
+        nc.certify_interval(3, 3, 12, _interior(12))  # a settled run, levels 3..12
         nc.perturbed_certify(7, 0, 2, F(7, 10), {(3, 0): F(-1, 5)})
         nc.f_values(family, 3)
         assert all(info.currsize for info in positivity._state_info().values())
+        # a root record keeps its last checked level and, with a settled run,
+        # the level loop's state at the run's low end
+        assert positivity._root_record(9, 2) == positivity._RootRecord(4, None)
+        record = positivity._root_record(3, 3)
+        assert record.checked == 12 and record.below_run[0] is True
         positivity._clear_state()
         info = positivity._state_info()
         assert list(info) == list(positivity._STATE) and len(info) == 5
         assert {piece.currsize for piece in info.values()} == {0}
         assert {(piece.hits, piece.misses) for name, piece in info.items()
                 if name != "_last_sweep"} == {(0, 0)}
+        assert positivity._root_record(3, 3) == positivity._RootRecord(1, None)
 
     def test_a_cleared_leg_memo_evicts_as_a_fresh_one(self):
         def missed(memo):
@@ -767,8 +774,13 @@ class TestProcessState:
 
 def lowered_legs(monkeypatch, *shapes, value=F(-1)):
     """Serve the eps-free leg of each grid shape (n, m, k) of shapes with its
-    least drop set to value; the memo itself keeps the true legs."""
-    memo = positivity._cached_stratum_leg
+    least drop set to value; the memo itself keeps the true legs. Both readers
+    of legs see it: a settled top level reads the leg of a stratum with no
+    settled cell, so the shapes' grids answer none, and the root records start
+    empty and are dropped on undo, so none keeps a level loop run on lowered
+    legs."""
+    memo, settled_cell = positivity._cached_stratum_leg, positivity._settled_cell
+    lowered = {(n, m) for n, m, _ in shapes}
 
     def patched(n, m, k, c):
         leg = memo(n, m, k, c)
@@ -778,6 +790,10 @@ def lowered_legs(monkeypatch, *shapes, value=F(-1)):
         return dataclasses.replace(leg, minimum=positivity.DropEvaluation(low.r1, low.r2, value))
 
     monkeypatch.setattr(positivity, "_cached_stratum_leg", patched)
+    monkeypatch.setattr(positivity, "_settled_cell",
+                        lambda n, m: None if (n, m) in lowered else settled_cell(n, m))
+    monkeypatch.setattr(positivity, "_root_record", functools.lru_cache(
+        positivity._ROOT_CACHE_SIZE)(positivity._root_record.__wrapped__))
 
 
 class TestInconclusiveFold:
@@ -915,8 +931,49 @@ class TestSettledRunFold:
             nc.certify_interval(8, 8, k, _interior(k))
             info = positivity._state_info()["_cached_stratum_leg"]
             lookups.append(info.hits + info.misses)
-        # levels 1..7 and the run's two ends, against 6,269 legs level by level at k = 100
+        # levels 1..8, against 6,269 legs level by level at k = 100
         assert lookups[0] == lookups[1] < 1000, lookups
+
+    def test_a_certified_root_shape_looks_up_no_leg(self):
+        # the root record keeps levels 1..8, and the top end is read off lines
+        positivity._clear_state()
+        nc.certify_interval(8, 8, 100, _interior(100))
+        info = positivity._state_info()["_cached_stratum_leg"]
+        cert = nc.certify_interval(8, 8, 101, _interior(101))
+        assert positivity._state_info()["_cached_stratum_leg"][:2] == info[:2]
+        assert repr(_refolded(cert)._stored()) == repr(cert._stored())
+
+    @pytest.mark.parametrize("hidden", [False, True], ids=["lines", "legs"])
+    def test_the_top_end_from_lines_is_the_first_least_of_its_legs(self, monkeypatch, hidden):
+        if hidden:  # a stratum with no settled cell reads its leg
+            monkeypatch.setattr(positivity, "_settled_cell", lambda n, m: None)
+        for n in range(9):
+            for m in range(2, 9):
+                for top in {max(2, n) + 1, 40, 300}:
+                    if not nc.divisors.nonempty_moduli(n, m, top):
+                        continue
+                    shapes = nc.reachable_strata(n, m, top)
+                    legs = positivity._level_legs(n, m, top, shapes, None, None, set())
+                    assert repr(positivity._settled_least(shapes, top)) == \
+                        repr(positivity._first_least(legs)), (n, m, top)
+
+    def test_a_tie_at_the_top_end_goes_to_the_earlier_stratum(self, monkeypatch):
+        # one line, (6 - 4c)/5, at two cells: _first_least keeps the first leg's
+        lines = {(1, 3): (0, 2, 6, -4, 5), (2, 3): (1, 1, 6, -4, 5)}
+        monkeypatch.setattr(positivity, "_settled_cell", lambda n, m: lines[n, m])
+        for shapes in ([(1, 3), (2, 3)], [(2, 3), (1, 3)]):
+            least = positivity._settled_least(shapes, 9)
+            assert (least.r1, least.r2, least.value) == (*lines[shapes[0]][:2], F(39, 50))
+
+    def test_every_run_stratum_has_a_settled_cell_or_no_cell(self):
+        # the strata of the settled runs of the roots n < 40, m < 14, read at a
+        # level above every root's n, where each root's run lists them
+        strata = {shape for n in range(40) for m in range(2, 14)
+                  if nc.divisors.nonempty_moduli(n, m, 40)
+                  for shape in nc.reachable_strata(n, m, 40)}
+        unsettled = {(n, m) for n, m in strata if positivity._settled_cell(n, m) is None}
+        assert unsettled == {(0, 3), (1, 2)}
+        assert all(nc.admissible_pairs(n, m, 40) == [] for n, m in unsettled)
 
     def test_a_held_deep_certificate_keeps_no_legs_or_strata(self):
         c = _interior(1000)

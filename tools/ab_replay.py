@@ -8,11 +8,12 @@ name, so both live in one process with their own memos. The first N ops of
 `perfbench/workloads`' stream for W and S (default certify-wide, seed 1,
 5000 ops) run through both trees: op i runs on A first when i is even and on
 B first when it is odd, so a drift of the host's speed falls on both sides
-alike. Every op's two results must have the same repr, trace included; the
-first difference stops the replay with exit code 1. A tree whose certificates
-derive their trace when read rebuilds its legs for that repr, through its own
-leg memo, between ops: it can evict legs the next op reads, so that side's op
-time reads high against a benchmark run, which takes no repr.
+alike. Every op's two results must have the same repr, trace included, and
+the benchmark's output check must read them without raising; the first op
+that fails either is named and the replay exits 1. The reprs are compared
+in a second pass, once every op is timed: a repr rebuilds a derived trace
+through its tree's leg memo, and between ops that would evict legs the next
+op reads, which a benchmark run, taking no repr, never does.
 
 Prints, per side, the op time of each op class, the median op and the
 11th-largest op (the benchmark's op_tail_ms), each beside the same figure
@@ -85,27 +86,39 @@ def main(argv=None) -> int:
     counts: dict[str, int] = defaultdict(int)
     latencies: list[list[float]] = [[], [], [], []]
     seen: set = set()
-    for index, op in enumerate(workloads.build_ops(args.workload, args.seed, args.ops)):
+    ops = workloads.build_ops(args.workload, args.seed, args.ops)
+    results = []  # each op's two results, compared once every op is timed
+    failed = {}  # op index -> the first error its output check raised
+    for index, op in enumerate(ops):
         kind = op_class(op, seen)
         counts[kind] += 1
-        results, elapsed = [None, None], [0.0, 0.0]
+        pair, elapsed = [None, None], [0.0, 0.0]
         order = (0, 1) if index % 2 == 0 else (1, 0)
         for side in order:
             start = time.perf_counter()
-            results[side] = workloads.run_op(trees[side], op, None)
+            pair[side] = workloads.run_op(trees[side], op, None)
             elapsed[side] = time.perf_counter() - start
-        if repr(results[0]) != repr(results[1]):
-            print(f"op {index} differs: {op}", file=sys.stderr)
-            return 1
         for side in order:
             start = time.perf_counter()
-            workloads.check_op(op, results[side])
+            try:
+                workloads.check_op(op, pair[side])
+            except Exception as error:  # a result the check cannot read: named below
+                failed.setdefault(index, error)
             checked = elapsed[side] + time.perf_counter() - start
             for column, seconds in ((side, elapsed[side]), (side + 2, checked)):
                 times[column][kind] += seconds
                 latencies[column].append(seconds * 1000)
+        results.append(pair)
+    for index, (op, (result_a, result_b)) in enumerate(zip(ops, results)):
+        if repr(result_a) != repr(result_b):
+            print(f"op {index} differs: {op}", file=sys.stderr)
+            return 1
+        if index in failed:
+            print(f"op {index} fails its output check ({failed[index]!r}): {op}",
+                  file=sys.stderr)
+            return 1
 
-    print(f"{args.workload} seed {args.seed}: {index + 1} ops, every repr equal")
+    print(f"{args.workload} seed {args.seed}: {len(ops)} ops, every repr equal")
     columns = range(4)
     print(f"{'':12}" + "".join(f"{name:>14}" for name in ("A", "B", "A+check", "B+check")))
     for kind in sorted(counts):
